@@ -272,11 +272,16 @@ WRITERS = {
 }
 
 
+def read(path: Path) -> str:
+    """A file's exact text: no newline translation (CSV rows end in \\r\\n)."""
+    return path.read_bytes().decode()
+
+
 def writer_output(name: str) -> str:
     with tempfile.TemporaryDirectory() as scratch:
         target = Path(scratch) / name
         WRITERS[name](target)
-        return target.read_text()
+        return read(target)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +333,7 @@ def run_outputs(prefix: str):
             code = main(argv + extra)
         outputs = {f"{prefix}.txt": _WROTE.sub("wrote FILE", stdout.getvalue())}
         for kind, path in paths.items():
-            outputs[path.name] = mask(path.read_text())
+            outputs[path.name] = mask(read(path))
     return outputs, code
 
 
@@ -381,7 +386,7 @@ def parser_structure() -> str:
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("name", sorted(WRITERS))
 def test_writer_output_is_byte_identical(name):
-    assert writer_output(name) == (GOLDEN_DIR / name).read_text()
+    assert writer_output(name) == read(GOLDEN_DIR / name)
 
 
 @pytest.mark.parametrize("prefix", sorted(RUNS))
@@ -389,23 +394,23 @@ def test_real_run_outputs_are_byte_identical(prefix):
     outputs, code = run_outputs(prefix)
     assert code == 0
     for name, text in sorted(outputs.items()):
-        assert text == (GOLDEN_DIR / name).read_text(), name
+        assert text == read(GOLDEN_DIR / name), name
 
 
 def test_parser_structure_is_unchanged():
-    assert parser_structure() == (GOLDEN_DIR / "parser.json").read_text()
+    assert parser_structure() == read(GOLDEN_DIR / "parser.json")
 
 
 def regen() -> None:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for name in WRITERS:
-        (GOLDEN_DIR / name).write_text(writer_output(name))
+        (GOLDEN_DIR / name).write_bytes(writer_output(name).encode())
     for prefix in RUNS:
         outputs, code = run_outputs(prefix)
         assert code == 0, prefix
         for name, text in outputs.items():
-            (GOLDEN_DIR / name).write_text(text)
-    (GOLDEN_DIR / "parser.json").write_text(parser_structure())
+            (GOLDEN_DIR / name).write_bytes(text.encode())
+    (GOLDEN_DIR / "parser.json").write_bytes(parser_structure().encode())
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["regen"]:
