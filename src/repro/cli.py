@@ -40,51 +40,52 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core import AutoConfigFramework, FrameworkConfig, IPAddressManager, ManualConfigurationModel
+from repro.core import FrameworkConfig, ManualConfigurationModel
 from repro.experiments import (
+    CTLSCALE_CSV_HEADER,
+    FAILOVER_CSV_HEADER,
+    INTERDOMAIN_CSV_HEADER,
+    SWEEP_CSV_HEADER,
     check_load_conservation,
     check_regressions,
+    configure,
+    ctlscale_csv_rows,
+    failover_csv_rows,
     format_table,
+    interdomain_csv_rows,
+    read_bench_json,
+    render_ablation_table,
+    render_bench_table,
+    render_config_time_table,
     render_ctlscale_churn,
     render_ctlscale_table,
-    run_ctlscale,
-    run_ctlscale_churn,
-    write_ctlscale_churn_json,
-    write_ctlscale_csv,
-    write_ctlscale_json,
-    read_bench_json,
-    render_bench_table,
-    run_benchmarks,
-    write_bench_json,
-    render_ablation_table,
-    render_config_time_table,
     render_demo_report,
     render_failover_table,
     render_interdomain_table,
     render_sweep_table,
     render_te_table,
     render_traffic_table,
+    run_benchmarks,
     run_config_time_sweep,
     run_controller_split_ablation,
+    run_ctlscale,
+    run_ctlscale_churn,
     run_demo,
-    run_failover_suite,
+    run_failover,
     run_interdomain,
     run_ospf_timer_ablation,
     run_sweep,
     run_te,
-    run_traffic_suite,
+    run_traffic,
     run_vm_latency_ablation,
-    write_failover_csv,
-    write_failover_json,
-    write_interdomain_csv,
-    write_interdomain_json,
-    write_sweep_csv,
-    write_sweep_json,
-    write_te_json,
-    write_traffic_json,
+    sweep_csv_rows,
+    write_bench_json,
+    write_csv,
+    write_json,
 )
 from repro.experiments.ctlscale import DEFAULT_CONTROLLER_COUNTS
 from repro.experiments.te import DEFAULT_POLICIES
@@ -93,15 +94,11 @@ from repro.scenarios import (
     FailureAction,
     FailureEvent,
     FailureSchedule,
-    FailureScheduleError,
-    ScenarioError,
+    ScenarioSpec,
     all_scenarios,
     get as get_scenario,
     scenario_names,
 )
-from repro.topology.graph import TopologyError
-from repro.sim import Simulator
-from repro.topology.emulator import EmulatedNetwork
 from repro.topology.generators import ring_topology
 
 
@@ -367,14 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_quickstart(args: argparse.Namespace) -> int:
-    sim = Simulator()
-    ipam = IPAddressManager()
-    config = FrameworkConfig(vm_boot_delay=args.vm_boot_delay,
-                             detect_edge_ports=False)
-    framework = AutoConfigFramework(sim, config=config, ipam=ipam)
-    network = EmulatedNetwork(sim, ring_topology(args.switches), ipam=ipam)
-    framework.attach(network)
-    configured_at = framework.run_until_configured(max_time=7200.0, settle=5.0)
+    testbed = configure(ring_topology(args.switches),
+                        FrameworkConfig(vm_boot_delay=args.vm_boot_delay,
+                                        detect_edge_ports=False),
+                        max_time=7200.0, settle=5.0)
+    framework, configured_at = testbed.framework, testbed.configured_at
     if configured_at is None:
         print("configuration did not complete within the deadline", file=sys.stderr)
         return 1
@@ -451,265 +445,204 @@ def _validate_export_paths(*targets: Optional[str]) -> Optional[str]:
     return None
 
 
-def _command_sweep(args: argparse.Namespace) -> int:
-    if args.list_scenarios:
-        print(format_table(
-            ["scenario", "family", "description"],
-            [[spec.name, spec.family, spec.description]
-             for spec in all_scenarios()]))
-        return 0
+def _list_scenarios() -> int:
+    print(format_table(
+        ["scenario", "family", "description"],
+        [[spec.name, spec.family, spec.description]
+         for spec in all_scenarios()]))
+    return 0
+
+
+def _sweep(args: argparse.Namespace):
     if args.run_all:
         names = scenario_names()
     elif args.scenario:
         names = args.scenario
     else:
-        print("no scenarios selected: pass --scenario NAME (repeatable), "
-              "--all, or --list", file=sys.stderr)
-        return 2
+        raise ValueError("no scenarios selected: pass --scenario NAME "
+                         "(repeatable), --all, or --list")
     if args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
-    export_error = _validate_export_paths(args.out, args.csv)
-    if export_error is not None:
-        print(export_error, file=sys.stderr)
-        return 2
+        raise ValueError("--workers must be >= 1")
     if args.controllers is not None and args.controllers < 1:
-        print("--controllers must be >= 1", file=sys.stderr)
-        return 2
-    try:
-        results = run_sweep(names, workers=args.workers,
-                            controllers=args.controllers)
-    except (ScenarioError, TopologyError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(render_sweep_table(results))
-    if args.out:
-        print(f"wrote {write_sweep_json(results, args.out)}")
-    if args.csv:
-        print(f"wrote {write_sweep_csv(results, args.csv)}")
-    return 0 if all(r.configured for r in results) else 1
+        raise ValueError("--controllers must be >= 1")
+    return run_sweep(names, workers=args.workers, controllers=args.controllers)
 
 
 def _parse_failure_events(args: argparse.Namespace) -> List[FailureEvent]:
     """Translate the --link-down/--link-up/--node-down/--node-up options."""
     events: List[FailureEvent] = []
-    link_options = [(args.link_down, FailureAction.LINK_DOWN),
-                    (args.link_up, FailureAction.LINK_UP)]
-    for values, action in link_options:
+    options = [(args.link_down, FailureAction.LINK_DOWN, "A:B@T"),
+               (args.link_up, FailureAction.LINK_UP, "A:B@T"),
+               (args.node_down, FailureAction.NODE_DOWN, "N@T"),
+               (args.node_up, FailureAction.NODE_UP, "N@T")]
+    for values, action, form in options:
         for value in values:
             try:
-                pair, at = value.split("@")
-                node_a, node_b = pair.split(":")
-                events.append(FailureEvent(float(at), action,
-                                           int(node_a), int(node_b)))
-            except (ValueError, FailureScheduleError) as error:
+                nodes, at = value.split("@")
+                ids = [int(node) for node in nodes.split(":")]
+                if len(ids) != form.count(":") + 1:
+                    raise ValueError(f"got {len(ids)} switch ids")
+                events.append(FailureEvent(float(at), action, *ids))
+            except ValueError as error:
                 raise ValueError(
                     f"bad --{action.replace('_', '-')} value {value!r} "
-                    f"(expected A:B@T): {error}") from error
-    node_options = [(args.node_down, FailureAction.NODE_DOWN),
-                    (args.node_up, FailureAction.NODE_UP)]
-    for values, action in node_options:
-        for value in values:
-            try:
-                node, at = value.split("@")
-                events.append(FailureEvent(float(at), action, int(node)))
-            except (ValueError, FailureScheduleError) as error:
-                raise ValueError(
-                    f"bad --{action.replace('_', '-')} value {value!r} "
-                    f"(expected N@T): {error}") from error
+                    f"(expected {form}): {error}") from error
     return events
 
 
-def _command_failover(args: argparse.Namespace) -> int:
-    export_error = _validate_export_paths(args.out, args.csv)
-    if export_error is not None:
-        print(export_error, file=sys.stderr)
-        return 2
-    try:
-        specs = [get_scenario(name) for name in args.scenario]
-        explicit = _parse_failure_events(args)
-    except (ScenarioError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+def _failover(args: argparse.Namespace):
+    specs = [get_scenario(name) for name in args.scenario]
+    explicit = _parse_failure_events(args)
     results = []
-    try:
-        for spec in specs:
-            # CLI events and churn are *added on top of* whatever schedule
-            # is registered on the scenario itself; run_failover generates
-            # the churn against the topology it actually runs.
-            events = list(spec.failures.events if spec.failures else ())
-            events.extend(explicit)
-            if not events and not args.churn:
-                print(f"error: scenario {spec.name!r} carries no failure "
-                      f"schedule; pass --link-down/--node-down/--churn",
-                      file=sys.stderr)
-                return 2
-            results.extend(run_failover_suite(
-                [spec],
-                schedule=FailureSchedule(tuple(events)) if events else None,
-                settle=args.settle, churn=args.churn,
-                churn_seed=args.churn_seed, churn_spacing=args.churn_spacing,
-                churn_recovery=args.churn_recovery))
-    except (ScenarioError, TopologyError, FailureScheduleError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(render_failover_table(results))
-    if args.out:
-        print(f"wrote {write_failover_json(results, args.out)}")
+    for spec in specs:
+        # CLI events and churn are *added on top of* whatever schedule is
+        # registered on the scenario itself; run_failover generates the
+        # churn against the topology it actually runs.
+        events = list(spec.failures.events if spec.failures else ())
+        events.extend(explicit)
+        if not events and not args.churn:
+            raise ValueError(f"scenario {spec.name!r} carries no failure "
+                             f"schedule; pass --link-down/--node-down/--churn")
+        results.append(run_failover(
+            spec, schedule=FailureSchedule(tuple(events)) if events else None,
+            settle=args.settle, churn=args.churn,
+            churn_seed=args.churn_seed, churn_spacing=args.churn_spacing,
+            churn_recovery=args.churn_recovery))
+    return results
+
+
+def _ctlscale(args: argparse.Namespace):
+    return run_ctlscale(get_scenario(args.scenario),
+                        controller_counts=(args.controllers
+                                           or list(DEFAULT_CONTROLLER_COUNTS)),
+                        partitioner=args.partitioner)
+
+
+def _ctlscale_churn(args: argparse.Namespace):
     if args.csv:
-        print(f"wrote {write_failover_csv(results, args.csv)}")
-    return 0 if all(r.reconverged for r in results) else 1
+        raise ValueError("--csv is not supported with --churn (use --out)")
+    return run_ctlscale_churn(
+        get_scenario(args.scenario),
+        controllers=max(args.controllers) if args.controllers else None,
+        partitioner=args.partitioner,
+        failovers=args.churn_failovers,
+        reshards=args.churn_reshards,
+        link_churn=args.churn_links,
+        churn_seed=args.churn_seed,
+        spacing=args.churn_spacing,
+        settle=args.settle,
+        bus_drop=args.churn_bus_drop,
+        bus_duplicate=args.churn_bus_duplicate,
+        bus_reorder=args.churn_bus_reorder,
+        bus_jitter=args.churn_bus_jitter,
+        bus_fault_seed=args.churn_bus_seed,
+    )
 
 
-def _command_ctlscale(args: argparse.Namespace) -> int:
-    export_error = _validate_export_paths(args.out, args.csv)
-    if export_error is not None:
-        print(export_error, file=sys.stderr)
-        return 2
-    if args.churn:
-        return _command_ctlscale_churn(args)
-    counts = args.controllers or list(DEFAULT_CONTROLLER_COUNTS)
-    try:
-        spec = get_scenario(args.scenario)
-        results = run_ctlscale(spec, controller_counts=counts,
-                               partitioner=args.partitioner)
-    except (ScenarioError, TopologyError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(render_ctlscale_table(results))
-    if args.out:
-        print(f"wrote {write_ctlscale_json(results, args.out)}")
-    if args.csv:
-        print(f"wrote {write_ctlscale_csv(results, args.csv)}")
-    healthy = all(r.configured and not r.invariant_violations for r in results)
-    conserved = not check_load_conservation(results)
-    return 0 if healthy and conserved else 1
-
-
-def _command_ctlscale_churn(args: argparse.Namespace) -> int:
-    if args.csv:
-        print("error: --csv is not supported with --churn (use --out)",
-              file=sys.stderr)
-        return 2
-    controllers = max(args.controllers) if args.controllers else None
-    try:
-        spec = get_scenario(args.scenario)
-        result = run_ctlscale_churn(
-            spec,
-            controllers=controllers,
-            partitioner=args.partitioner,
-            failovers=args.churn_failovers,
-            reshards=args.churn_reshards,
-            link_churn=args.churn_links,
-            churn_seed=args.churn_seed,
-            spacing=args.churn_spacing,
-            settle=args.settle,
-            bus_drop=args.churn_bus_drop,
-            bus_duplicate=args.churn_bus_duplicate,
-            bus_reorder=args.churn_bus_reorder,
-            bus_jitter=args.churn_bus_jitter,
-            bus_fault_seed=args.churn_bus_seed,
-        )
-    except (ScenarioError, TopologyError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(render_ctlscale_churn(result))
-    if args.out:
-        print(f"wrote {write_ctlscale_churn_json(result, args.out)}")
-    return 0 if result.healthy else 1
-
-
-def _command_interdomain(args: argparse.Namespace) -> int:
-    export_error = _validate_export_paths(args.out, args.csv)
-    if export_error is not None:
-        print(export_error, file=sys.stderr)
-        return 2
+def _interdomain(args: argparse.Namespace):
     flap_link = None
     if args.flap_link is not None:
         try:
             node_a, node_b = args.flap_link.split(":")
             flap_link = (int(node_a), int(node_b))
         except ValueError:
-            print(f"error: bad --flap-link value {args.flap_link!r} "
-                  f"(expected A:B)", file=sys.stderr)
-            return 2
-    results = []
-    try:
-        for name in args.scenario:
-            results.append(run_interdomain(
-                name, flap=not args.no_flap, flap_link=flap_link,
-                settle=args.settle, profile=args.profile))
-    except (ScenarioError, TopologyError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(render_interdomain_table(results))
-    if args.out:
-        print(f"wrote {write_interdomain_json(results, args.out)}")
-    if args.csv:
-        print(f"wrote {write_interdomain_csv(results, args.csv)}")
-    return 0 if all(r.healthy for r in results) else 1
+            raise ValueError(f"bad --flap-link value {args.flap_link!r} "
+                             f"(expected A:B)") from None
+    return [run_interdomain(name, flap=not args.no_flap, flap_link=flap_link,
+                            settle=args.settle, profile=args.profile)
+            for name in args.scenario]
 
 
-def _command_traffic(args: argparse.Namespace) -> int:
-    export_error = _validate_export_paths(args.out)
-    if export_error is not None:
-        print(export_error, file=sys.stderr)
-        return 2
-    try:
-        specs = [get_scenario(name) for name in args.scenario]
-    except ScenarioError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+def _demand_spec(spec: ScenarioSpec,
+                 args: argparse.Namespace) -> Optional[DemandSpec]:
+    """The scenario's demand spec under the command-line overrides (None
+    when no override is given: the run then uses the scenario's own)."""
     overrides = {"count": args.demands, "model": args.model,
-                 "rate_bps": args.rate, "duration": args.duration,
-                 "seed": args.demand_seed}
+                 "rate_bps": args.rate, "seed": args.demand_seed,
+                 "duration": getattr(args, "duration", None)}
     overrides = {key: value for key, value in overrides.items()
                  if value is not None}
-    results = []
-    try:
-        for spec in specs:
-            base = spec.demands if spec.demands is not None else DemandSpec()
-            demands = DemandSpec(**{**base.to_dict(), **overrides}) \
-                if overrides else None
-            results.extend(run_traffic_suite([spec], demands=demands,
-                                             settle=args.settle,
-                                             window=args.window))
-    except (ScenarioError, TopologyError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(render_traffic_table(results))
-    if args.out:
-        print(f"wrote {write_traffic_json(results, args.out)}")
-    return 0 if all(r.configured for r in results) else 1
-
-
-def _command_te(args: argparse.Namespace) -> int:
-    export_error = _validate_export_paths(args.out)
-    if export_error is not None:
-        print(export_error, file=sys.stderr)
-        return 2
-    try:
-        spec = get_scenario(args.scenario)
-    except ScenarioError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    overrides = {"count": args.demands, "model": args.model,
-                 "rate_bps": args.rate, "seed": args.demand_seed}
-    overrides = {key: value for key, value in overrides.items()
-                 if value is not None}
+    if not overrides:
+        return None
     base = spec.demands if spec.demands is not None else DemandSpec()
-    demands = DemandSpec(**{**base.to_dict(), **overrides}) \
-        if overrides else None
+    return DemandSpec(**{**base.to_dict(), **overrides})
+
+
+def _traffic(args: argparse.Namespace):
+    specs = [get_scenario(name) for name in args.scenario]
+    return [run_traffic(spec, demands=_demand_spec(spec, args),
+                        settle=args.settle, window=args.window)
+            for spec in specs]
+
+
+def _te(args: argparse.Namespace):
+    spec = get_scenario(args.scenario)
+    return run_te(spec, policies=args.policy, demands=_demand_spec(spec, args),
+                  settle=args.settle, window=args.window)
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """One experiment subcommand: how it runs, reports and exports."""
+
+    #: Builds the inputs from the parsed arguments and runs; a ValueError
+    #: (bad arguments, unknown scenario, invalid schedule) means exit 2.
+    run: Callable[[argparse.Namespace], Any]
+    render: Callable[[Any], str]
+    #: Exit 0 when true of the results, 1 (a gate failed) otherwise.
+    healthy: Callable[[Any], bool]
+    #: ``--csv`` export: the header and the row generator.
+    csv: Optional[Tuple[Sequence[str], Callable[[Any], Iterable]]] = None
+
+
+def _ctlscale_healthy(results) -> bool:
+    return all(r.configured and not r.invariant_violations
+               for r in results) and not check_load_conservation(results)
+
+
+_EXPERIMENTS = {
+    "sweep": _Experiment(_sweep, render_sweep_table,
+                         lambda results: all(r.configured for r in results),
+                         (SWEEP_CSV_HEADER, sweep_csv_rows)),
+    "failover": _Experiment(_failover, render_failover_table,
+                            lambda results: all(r.reconverged
+                                                for r in results),
+                            (FAILOVER_CSV_HEADER, failover_csv_rows)),
+    "ctlscale": _Experiment(_ctlscale, render_ctlscale_table,
+                            _ctlscale_healthy,
+                            (CTLSCALE_CSV_HEADER, ctlscale_csv_rows)),
+    "ctlscale --churn": _Experiment(_ctlscale_churn, render_ctlscale_churn,
+                                    lambda result: result.healthy),
+    "interdomain": _Experiment(_interdomain, render_interdomain_table,
+                               lambda results: all(r.healthy
+                                                   for r in results),
+                               (INTERDOMAIN_CSV_HEADER, interdomain_csv_rows)),
+    "traffic": _Experiment(_traffic, render_traffic_table,
+                           lambda results: all(r.configured
+                                               for r in results)),
+    "te": _Experiment(_te, render_te_table, lambda suite: suite.healthy),
+}
+
+
+def _run_experiment(experiment: _Experiment, args: argparse.Namespace) -> int:
+    csv_target = getattr(args, "csv", None)
+    export_error = _validate_export_paths(args.out, csv_target)
+    if export_error is not None:
+        print(export_error, file=sys.stderr)
+        return 2
     try:
-        suite = run_te(spec, policies=args.policy, demands=demands,
-                       settle=args.settle, window=args.window)
-    except (ScenarioError, TopologyError, ValueError) as error:
+        results = experiment.run(args)
+    except ValueError as error:
+        # ScenarioError, TopologyError and FailureScheduleError included.
         print(f"error: {error}", file=sys.stderr)
         return 2
-    print(render_te_table(suite))
+    print(experiment.render(results))
     if args.out:
-        print(f"wrote {write_te_json(suite, args.out)}")
-    return 0 if suite.healthy else 1
+        print(f"wrote {write_json(results, args.out)}")
+    if csv_target:
+        header, rows = experiment.csv
+        print(f"wrote {write_csv(csv_target, header, rows(results))}")
+    return 0 if experiment.healthy(results) else 1
 
 
 def _command_bench(args: argparse.Namespace) -> int:
@@ -748,12 +681,6 @@ _COMMANDS = {
     "demo": _command_demo,
     "manual": _command_manual,
     "ablation": _command_ablation,
-    "sweep": _command_sweep,
-    "failover": _command_failover,
-    "ctlscale": _command_ctlscale,
-    "interdomain": _command_interdomain,
-    "traffic": _command_traffic,
-    "te": _command_te,
     "bench": _command_bench,
 }
 
@@ -762,8 +689,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = _COMMANDS[args.command]
-    return handler(args)
+    if args.command in _COMMANDS:
+        return _COMMANDS[args.command](args)
+    if args.command == "sweep" and args.list_scenarios:
+        return _list_scenarios()
+    name = "ctlscale --churn" if args.command == "ctlscale" and args.churn \
+        else args.command
+    return _run_experiment(_EXPERIMENTS[name], args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -18,16 +18,27 @@ design parameters worth isolating:
 from __future__ import annotations
 
 import logging
-from typing import Iterable, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional
 
 from repro.core.autoconfig import FrameworkConfig
 from repro.experiments.config_time import run_single_configuration
-from repro.experiments.results import AblationResult, format_seconds, format_table
+from repro.experiments.harness import format_seconds, format_table
 from repro.topology.generators import ring_topology
 from repro.topology.graph import Topology
 from repro.topology.pan_european import pan_european_topology
 
 LOG = logging.getLogger(__name__)
+
+
+@dataclass
+class AblationResult:
+    """One configuration-time measurement under a varied design parameter."""
+
+    label: str
+    parameter: object
+    auto_seconds: Optional[float]
+    milestones: Dict[str, float] = field(default_factory=dict)
 
 
 def _measure(topology: Topology, config: FrameworkConfig, label: str,

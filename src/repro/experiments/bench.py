@@ -584,9 +584,9 @@ def run_benchmarks(quick: bool = False,
 
 
 def write_bench_json(document: Dict[str, Any], path: Union[str, Path]) -> Path:
-    target = Path(path)
-    target.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return target
+    from repro.experiments.harness import write_json
+
+    return write_json(document, path)
 
 
 def read_bench_json(path: Union[str, Path]) -> Dict[str, Any]:
@@ -631,7 +631,7 @@ def check_regressions(current: Dict[str, Any], baseline: Dict[str, Any],
 
 def render_bench_table(document: Dict[str, Any]) -> str:
     """Human-readable summary of a bench document."""
-    from repro.experiments.results import format_table
+    from repro.experiments.harness import format_table
 
     rows = []
     for name, entry in document["benchmarks"].items():

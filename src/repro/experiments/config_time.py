@@ -10,14 +10,12 @@ manual baseline uses the paper's 5+2+8-minutes-per-switch model.
 from __future__ import annotations
 
 import logging
-from typing import Iterable, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional
 
-from repro.core.autoconfig import AutoConfigFramework, FrameworkConfig
-from repro.core.ipam import IPAddressManager
+from repro.core.autoconfig import FrameworkConfig
 from repro.core.manual_model import ManualConfigurationModel
-from repro.experiments.results import ConfigTimeResult, format_seconds, format_table
-from repro.sim import Simulator
-from repro.topology.emulator import EmulatedNetwork
+from repro.experiments.harness import configure, format_seconds, format_table
 from repro.topology.generators import ring_topology
 from repro.topology.graph import Topology
 
@@ -27,26 +25,49 @@ LOG = logging.getLogger(__name__)
 DEFAULT_RING_SIZES = (4, 8, 12, 16, 20, 24, 28)
 
 
+@dataclass
+class ConfigTimeResult:
+    """One point of the Figure 3 sweep."""
+
+    num_switches: int
+    num_links: int
+    auto_seconds: Optional[float]
+    manual_seconds: float
+    milestones: Dict[str, float] = field(default_factory=dict)
+    #: Aggregate physical delivery/drop counters at the end of the run
+    #: (see :meth:`EmulatedNetwork.stats`).
+    link_stats: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def auto_minutes(self) -> Optional[float]:
+        return self.auto_seconds / 60.0 if self.auto_seconds is not None else None
+
+    @property
+    def manual_minutes(self) -> float:
+        return self.manual_seconds / 60.0
+
+    @property
+    def speedup(self) -> Optional[float]:
+        if not self.auto_seconds:
+            return None
+        return self.manual_seconds / self.auto_seconds
+
+
 def run_single_configuration(topology: Topology,
                              config: Optional[FrameworkConfig] = None,
                              max_time: float = 3600.0) -> ConfigTimeResult:
     """Configure one topology automatically and measure the time taken."""
-    sim = Simulator()
-    framework_config = config if config is not None else FrameworkConfig(
-        detect_edge_ports=False)
-    ipam = IPAddressManager()
-    framework = AutoConfigFramework(sim, config=framework_config, ipam=ipam)
-    network = EmulatedNetwork(sim, topology, ipam=ipam)
-    framework.attach(network)
-    auto_seconds = framework.run_until_configured(max_time=max_time)
-    manual = ManualConfigurationModel()
+    testbed = configure(topology, config if config is not None
+                        else FrameworkConfig(detect_edge_ports=False),
+                        max_time=max_time)
     return ConfigTimeResult(
         num_switches=topology.num_nodes,
         num_links=topology.num_links,
-        auto_seconds=auto_seconds,
-        manual_seconds=manual.seconds_for(topology.num_nodes),
-        milestones=dict(framework.milestones),
-        link_stats=network.stats(),
+        auto_seconds=testbed.configured_at,
+        manual_seconds=ManualConfigurationModel().seconds_for(
+            topology.num_nodes),
+        milestones=dict(testbed.framework.milestones),
+        link_stats=testbed.network.stats(),
     )
 
 

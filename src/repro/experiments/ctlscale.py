@@ -22,46 +22,43 @@ reports, per run:
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.core.autoconfig import AutoConfigFramework
-from repro.core.ipam import IPAddressManager
 from repro.experiments.failover import (
     _mirror_into_routeflow,
     verify_spf_rib_consistency,
 )
-from repro.experiments.results import format_seconds, format_table
+from repro.experiments.harness import (FibChanges, configure, format_seconds,
+                                       format_table, json_key,
+                                       run_until_quiet)
 from repro.scenarios import ScenarioSpec, get
 from repro.scenarios.events import FailureAction, FailureEvent, FailureSchedule
-from repro.sim import Simulator
 from repro.sim.rng import SeededRandom
-from repro.topology.emulator import EmulatedNetwork
 
 LOG = logging.getLogger(__name__)
 
 #: Shard counts swept by default (1 is the conservation reference).
 DEFAULT_CONTROLLER_COUNTS = (1, 2, 4)
 
-PathLike = Union[str, Path]
-
 
 @dataclass
 class CtlScaleResult:
     """One scenario configured under one controller-shard count."""
+
+    EXPORTED_PROPERTIES = ("total_route_mods", "total_flow_mods",
+                           "total_flows")
 
     scenario: str
     family: str
     seed: int
     controllers: int
     partitioner: str
-    num_switches: int
-    num_links: int
+    num_switches: int = json_key("switches")
+    num_links: int = json_key("links")
     configured_seconds: Optional[float]
     #: One entry per shard: switches, vms, route_mods, flow_mods_installed,
     #: flow_mods_removed, flows_current (see ``ControllerShard.load``).
@@ -106,21 +103,13 @@ def run_ctlscale(scenario: Union[str, ScenarioSpec],
         if count < 1:
             raise ValueError(f"controller counts must be >= 1, got {count}")
         started = time.perf_counter()
-        run_spec = spec.with_controllers(count)
-        topology = run_spec.build_topology()
-        config = run_spec.framework_config(topology)
-        if partitioner is not None:
-            config.partitioner = partitioner
-        sim = Simulator()
-        ipam = IPAddressManager()
-        framework = AutoConfigFramework(sim, config=config, ipam=ipam)
-        network = EmulatedNetwork(sim, topology, ipam=ipam)
-        framework.attach(network)
-        configured_at = framework.run_until_configured(max_time=run_spec.max_time,
-                                                       settle=settle)
+        testbed = configure(spec.with_controllers(count), settle=settle,
+                            **_partitioner_override(partitioner))
+        framework, topology = testbed.framework, testbed.topology
+        configured_at = testbed.configured_at
         result = CtlScaleResult(
             scenario=spec.name, family=spec.family, seed=spec.seed,
-            controllers=count, partitioner=config.partitioner,
+            controllers=count, partitioner=framework.config.partitioner,
             num_switches=topology.num_nodes, num_links=topology.num_links,
             configured_seconds=configured_at,
             shard_loads=framework.shard_loads(),
@@ -134,6 +123,10 @@ def run_ctlscale(scenario: Union[str, ScenarioSpec],
                  format_seconds(configured_at), result.total_flows)
         results.append(result)
     return results
+
+
+def _partitioner_override(partitioner: Optional[str]) -> Dict[str, str]:
+    return {} if partitioner is None else {"partitioner": partitioner}
 
 
 def check_load_conservation(results: Sequence[CtlScaleResult]) -> List[str]:
@@ -177,13 +170,15 @@ class CtlScaleChurnResult:
     the network re-settled.  Zero flow loss means all three agree.
     """
 
+    EXPORTED_PROPERTIES = ("flow_loss", "conserved", "healthy")
+
     scenario: str
     family: str
     seed: int
     controllers: int
     partitioner: str
-    num_switches: int
-    num_links: int
+    num_switches: int = json_key("switches")
+    num_links: int = json_key("links")
     churn_seed: int
     configured_seconds: Optional[float]
     reference_flows: int = 0
@@ -348,24 +343,15 @@ def run_ctlscale_churn(scenario: Union[str, ScenarioSpec],
     reference = run_ctlscale(spec, controller_counts=(1,))[0]
 
     started = time.perf_counter()
-    run_spec = spec.with_controllers(count)
-    topology = run_spec.build_topology()
-    config = run_spec.framework_config(topology)
-    if partitioner is not None:
-        config.partitioner = partitioner
+    overrides = _partitioner_override(partitioner)
     if bus_faults:
-        config.bus_faults = bus_faults
-        config.bus_fault_seed = fault_seed
-    sim = Simulator()
-    ipam = IPAddressManager()
-    framework = AutoConfigFramework(sim, config=config, ipam=ipam)
-    network = EmulatedNetwork(sim, topology, ipam=ipam)
-    framework.attach(network)
-    configured_at = framework.run_until_configured(max_time=run_spec.max_time,
-                                                   settle=5.0)
+        overrides.update(bus_faults=bus_faults, bus_fault_seed=fault_seed)
+    testbed = configure(spec.with_controllers(count), settle=5.0, **overrides)
+    sim, network, framework = testbed.sim, testbed.network, testbed.framework
+    topology, configured_at = testbed.topology, testbed.configured_at
     result = CtlScaleChurnResult(
         scenario=spec.name, family=spec.family, seed=spec.seed,
-        controllers=count, partitioner=config.partitioner,
+        controllers=count, partitioner=framework.config.partitioner,
         num_switches=topology.num_nodes, num_links=topology.num_links,
         churn_seed=churn_seed, configured_seconds=configured_at,
         reference_flows=reference.total_flows,
@@ -388,26 +374,21 @@ def run_ctlscale_churn(scenario: Union[str, ScenarioSpec],
         # the flow count moving — the quiet window must outlast that.
         def signature():
             stats = framework.bus.stats()["_totals"]
-            flows = sum(load["flows_current"]
-                        for load in framework.shard_loads())
-            return (flows, stats["retransmits"], stats["acked"])
+            return (testbed.total_load("flows_current"),
+                    stats["retransmits"], stats["acked"])
 
-        quiet = signature()
-        quiet_since = sim.now
-        drain_deadline = sim.now + 180.0
-        while sim.now < drain_deadline:
-            sim.run(until=sim.now + 1.0)
+        quiet, quiet_since = signature(), sim.now
+
+        def last_bus_activity() -> float:
+            nonlocal quiet, quiet_since
             current = signature()
             if current != quiet:
                 quiet, quiet_since = current, sim.now
-            elif sim.now - quiet_since >= 6.0:
-                break
-    result.steady_flows = sum(load["flows_current"]
-                              for load in framework.shard_loads())
-    change_times: List[float] = []
-    for vm in plane.vms.values():
-        vm.zebra.add_fib_listener(
-            lambda prefix, new, old: change_times.append(sim.now))
+            return quiet_since
+
+        run_until_quiet(sim, last_bus_activity, 6.0, sim.now + 180.0)
+    result.steady_flows = testbed.total_load("flows_current")
+    changes = FibChanges(sim, plane)
     network.add_failure_listener(_mirror_into_routeflow(network,
                                                         framework.bus))
     schedule = churn_schedule(
@@ -421,19 +402,13 @@ def run_ctlscale_churn(scenario: Union[str, ScenarioSpec],
     armed_at = sim.now
     network.schedule_failures(schedule)
     horizon = armed_at + schedule.duration
-    deadline = horizon + max_extra
-    while sim.now < deadline:
-        sim.run(until=min(sim.now + 1.0, deadline))
-        last_activity = max([horizon] + change_times[-1:])
-        if sim.now >= last_activity + settle:
-            result.settled = True
-            break
+    result.settled = run_until_quiet(
+        sim, lambda: max(horizon, changes.latest(horizon)), settle,
+        horizon + max_extra)
 
-    last_change = max((t for t in change_times if t >= armed_at),
-                      default=horizon)
+    last_change = max(changes.since(armed_at), default=horizon)
     result.reconvergence_seconds = max(0.0, last_change - horizon)
-    result.final_flows = sum(load["flows_current"]
-                             for load in framework.shard_loads())
+    result.final_flows = testbed.total_load("flows_current")
     result.takeovers = plane.takeovers
     result.reshards = plane.reshards
     result.shard_roles = [plane.role_of(shard.shard_id)
@@ -510,63 +485,6 @@ def render_ctlscale_churn(result: CtlScaleChurnResult) -> str:
     return "\n".join(lines)
 
 
-def churn_result_payload(result: CtlScaleChurnResult) -> Dict[str, object]:
-    """JSON-ready form of a churn run (the ``--churn --out`` schema)."""
-    return {
-        "scenario": result.scenario,
-        "family": result.family,
-        "seed": result.seed,
-        "controllers": result.controllers,
-        "partitioner": result.partitioner,
-        "switches": result.num_switches,
-        "links": result.num_links,
-        "churn_seed": result.churn_seed,
-        "configured_seconds": result.configured_seconds,
-        "reference_flows": result.reference_flows,
-        "steady_flows": result.steady_flows,
-        "final_flows": result.final_flows,
-        "flow_loss": result.flow_loss,
-        "takeovers": result.takeovers,
-        "reshards": result.reshards,
-        "settled": result.settled,
-        "reconvergence_seconds": result.reconvergence_seconds,
-        "schedule": list(result.schedule),
-        "shard_roles": list(result.shard_roles),
-        "shard_loads": list(result.shard_loads),
-        "invariant_violations": list(result.invariant_violations),
-        "ownership_violations": list(result.ownership_violations),
-        "orphaned_route_mods": list(result.orphaned_route_mods),
-        "conserved": result.conserved,
-        "healthy": result.healthy,
-        "bus_faults": {pattern: dict(params)
-                       for pattern, params in result.bus_faults.items()},
-        "bus_fault_seed": result.bus_fault_seed,
-        "reliable_ipc": result.reliable_ipc,
-        "retransmits": result.retransmits,
-        "acked": result.acked,
-        "exhausted": result.exhausted,
-        "dropped_fault": result.dropped_fault,
-        "fault_duplicated": result.fault_duplicated,
-        "fault_reordered": result.fault_reordered,
-        "rx_duplicates": result.rx_duplicates,
-        "rx_out_of_order": result.rx_out_of_order,
-        "rx_out_of_window": result.rx_out_of_window,
-        "stale_announcements": result.stale_announcements,
-        "duplicate_installs": result.duplicate_installs,
-        "client_resyncs": result.client_resyncs,
-        "bus_stats": dict(result.bus_stats),
-        "wall_seconds": result.wall_seconds,
-    }
-
-
-def write_ctlscale_churn_json(result: CtlScaleChurnResult,
-                              path: PathLike) -> Path:
-    target = Path(path)
-    target.write_text(json.dumps(churn_result_payload(result), indent=2,
-                                 sort_keys=True) + "\n")
-    return target
-
-
 def render_ctlscale_table(results: Sequence[CtlScaleResult]) -> str:
     """Per-run summary plus a per-shard load breakdown."""
     rows = []
@@ -605,60 +523,26 @@ def render_ctlscale_table(results: Sequence[CtlScaleResult]) -> str:
     return f"{table}\n\nper-shard load:\n{shard_table}\n\n{conservation}"
 
 
-def _result_payload(result: CtlScaleResult) -> Dict[str, object]:
-    return {
-        "scenario": result.scenario,
-        "family": result.family,
-        "seed": result.seed,
-        "controllers": result.controllers,
-        "partitioner": result.partitioner,
-        "switches": result.num_switches,
-        "links": result.num_links,
-        "configured_seconds": result.configured_seconds,
-        "shard_loads": list(result.shard_loads),
-        "total_route_mods": result.total_route_mods,
-        "total_flow_mods": result.total_flow_mods,
-        "total_flows": result.total_flows,
-        "invariant_violations": list(result.invariant_violations),
-        "bus_stats": dict(result.bus_stats),
-        "wall_seconds": result.wall_seconds,
-    }
+CTLSCALE_CSV_HEADER = ("scenario", "family", "seed", "controllers",
+                       "partitioner", "switches", "links",
+                       "configured_seconds", "shard", "shard_switches",
+                       "route_mods", "flow_mods_installed",
+                       "flow_mods_removed", "flows_current",
+                       "bgp_updates_sent", "bgp_withdrawals_sent",
+                       "bgp_updates_received")
 
 
-def write_ctlscale_json(results: Sequence[CtlScaleResult],
-                        path: PathLike) -> Path:
-    """Write a controller-scaling series as JSON (full per-shard detail)."""
-    target = Path(path)
-    target.write_text(json.dumps([_result_payload(r) for r in results],
-                                 indent=2, sort_keys=True) + "\n")
-    return target
-
-
-def write_ctlscale_csv(results: Sequence[CtlScaleResult],
-                       path: PathLike) -> Path:
-    """Write a controller-scaling series as CSV, one row per shard."""
-    target = Path(path)
-    with target.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["scenario", "family", "seed", "controllers",
-                         "partitioner", "switches", "links",
-                         "configured_seconds", "shard", "shard_switches",
-                         "route_mods", "flow_mods_installed",
-                         "flow_mods_removed", "flows_current",
-                         "bgp_updates_sent", "bgp_withdrawals_sent",
-                         "bgp_updates_received"])
-        for result in results:
-            for load in result.shard_loads:
-                writer.writerow([
-                    result.scenario, result.family, result.seed,
-                    result.controllers, result.partitioner,
-                    result.num_switches, result.num_links,
-                    result.configured_seconds, load["shard"],
-                    load["switches"], load["route_mods"],
-                    load["flow_mods_installed"], load["flow_mods_removed"],
-                    load["flows_current"],
-                    load.get("bgp_updates_sent", 0),
-                    load.get("bgp_withdrawals_sent", 0),
-                    load.get("bgp_updates_received", 0),
-                ])
-    return target
+def ctlscale_csv_rows(results: Iterable[CtlScaleResult]) -> Iterator[list]:
+    """One CSV row per shard of every controller-scaling run."""
+    for result in results:
+        for load in result.shard_loads:
+            yield [result.scenario, result.family, result.seed,
+                   result.controllers, result.partitioner,
+                   result.num_switches, result.num_links,
+                   result.configured_seconds, load["shard"],
+                   load["switches"], load["route_mods"],
+                   load["flow_mods_installed"], load["flow_mods_removed"],
+                   load["flows_current"],
+                   load.get("bgp_updates_sent", 0),
+                   load.get("bgp_withdrawals_sent", 0),
+                   load.get("bgp_updates_received", 0)]

@@ -13,15 +13,13 @@ roughly 7 hours of manual configuration for 28 switches).
 from __future__ import annotations
 
 import logging
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
 from repro.app.streaming import VideoStreamClient, VideoStreamServer
-from repro.core.autoconfig import AutoConfigFramework, FrameworkConfig
-from repro.core.ipam import IPAddressManager
+from repro.core.autoconfig import FrameworkConfig
 from repro.core.manual_model import ManualConfigurationModel
-from repro.experiments.results import DemoResult
-from repro.sim import Simulator
-from repro.topology.emulator import EmulatedNetwork
+from repro.experiments.harness import build
 from repro.topology.graph import Topology
 from repro.topology.pan_european import pan_european_topology
 
@@ -33,6 +31,27 @@ DEFAULT_SERVER_CITY = "Stockholm"
 DEFAULT_CLIENT_CITY = "Madrid"
 
 
+@dataclass
+class DemoResult:
+    """The outcome of the 28-node pan-European demonstration."""
+
+    topology_name: str
+    num_switches: int
+    num_links: int
+    video_start_seconds: Optional[float]
+    configuration_seconds: Optional[float]
+    manual_seconds: float
+    frames_received: int
+    frames_sent: int
+    green_timeline: List[tuple] = field(default_factory=list)
+    milestones: Dict[str, float] = field(default_factory=dict)
+    gui_text: str = ""
+
+    @property
+    def video_started(self) -> bool:
+        return self.video_start_seconds is not None
+
+
 def run_demo(topology: Optional[Topology] = None,
              server_node: Optional[int] = None,
              client_node: Optional[int] = None,
@@ -40,7 +59,6 @@ def run_demo(topology: Optional[Topology] = None,
              max_time: float = 1800.0,
              extra_run_time: float = 30.0) -> DemoResult:
     """Run the demonstration and report when the video reached the client."""
-    sim = Simulator()
     topo = topology if topology is not None else pan_european_topology()
     if server_node is None:
         server_node = topo.node_by_name(DEFAULT_SERVER_CITY).node_id if topology is None \
@@ -51,11 +69,8 @@ def run_demo(topology: Optional[Topology] = None,
     topo.attach_host("video-server", server_node)
     topo.attach_host("video-client", client_node)
 
-    framework_config = config if config is not None else FrameworkConfig()
-    ipam = IPAddressManager()
-    framework = AutoConfigFramework(sim, config=framework_config, ipam=ipam)
-    network = EmulatedNetwork(sim, topo, ipam=ipam)
-    framework.attach(network)
+    testbed = build(topo, config)
+    sim, network, framework = testbed.sim, testbed.network, testbed.framework
 
     server_host = network.host("video-server")
     client_host = network.host("video-client")
@@ -65,7 +80,7 @@ def run_demo(topology: Optional[Topology] = None,
     server.start()
     client.start()
 
-    configuration_seconds = framework.run_until_configured(max_time=max_time)
+    configuration_seconds = testbed.configure(max_time)
     # Keep running until the video arrives (or the deadline passes).
     deadline = min(max_time, sim.now + max_time)
     while sim.now < deadline and not client.video_started:

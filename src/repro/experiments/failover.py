@@ -29,17 +29,16 @@ import logging
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.bus import topics
 from repro.bus.reliable import acquire_publisher
-from repro.core.autoconfig import AutoConfigFramework
-from repro.core.ipam import IPAddressManager
-from repro.experiments.results import format_seconds, format_table
+from repro.experiments.harness import (FibChanges, configure, format_seconds,
+                                       format_table, json_key,
+                                       run_until_quiet)
 from repro.quagga.rib import RouteSource
 from repro.routeflow.ipc import PortStatusRelay
 from repro.scenarios import FailureAction, FailureSchedule, ScenarioSpec, get
-from repro.sim import Simulator
 from repro.topology.emulator import EmulatedNetwork
 
 LOG = logging.getLogger(__name__)
@@ -79,8 +78,8 @@ class FailoverResult:
     scenario: str
     family: str
     seed: int
-    num_switches: int
-    num_links: int
+    num_switches: int = json_key("switches")
+    num_links: int = json_key("links")
     #: Simulated seconds to the initial automatic configuration (None when
     #: the scenario never configured — no failures are injected then).
     configured_seconds: Optional[float]
@@ -231,26 +230,19 @@ def run_failover(scenario: Union[str, ScenarioSpec],
                             ((link.node_a, link.node_b)
                              for link in topology.links),
                             shards=spec.controllers)
-    sim = Simulator()
-    ipam = IPAddressManager()
-    framework = AutoConfigFramework(sim, config=spec.framework_config(topology),
-                                    ipam=ipam)
-    network = EmulatedNetwork(sim, topology, ipam=ipam)
-    framework.attach(network)
-    configured_at = framework.run_until_configured(max_time=spec.max_time)
+    testbed = configure(topology, spec.framework_config(topology),
+                        max_time=spec.max_time)
+    sim, network, framework = testbed.sim, testbed.network, testbed.framework
     result = FailoverResult(
         scenario=spec.name, family=spec.family, seed=spec.seed,
         num_switches=topology.num_nodes, num_links=topology.num_links,
-        configured_seconds=configured_at)
-    if configured_at is None:
+        configured_seconds=testbed.configured_at)
+    if testbed.configured_at is None:
         result.wall_seconds = time.perf_counter() - started
         return result
 
     # -- instrumentation -----------------------------------------------------
-    change_times: List[float] = []
-    for vm in framework.control_plane.vms.values():
-        vm.zebra.add_fib_listener(
-            lambda prefix, new, old, _sim=sim: change_times.append(_sim.now))
+    changes = FibChanges(sim, framework.control_plane)
     executed: List[Tuple[object, float, Dict[str, int]]] = []
 
     def observe(event) -> None:
@@ -264,13 +256,9 @@ def run_failover(scenario: Union[str, ScenarioSpec],
 
     # -- run to quiescence ---------------------------------------------------
     horizon = armed_at + active.duration
-    deadline = horizon + max_extra_time
-    while sim.now < deadline:
-        sim.run(until=min(sim.now + 1.0, deadline))
-        last_activity = max([horizon] + change_times[-1:])
-        if sim.now >= last_activity + settle:
-            result.settled = True
-            break
+    result.settled = run_until_quiet(
+        sim, lambda: max(horizon, changes.latest(horizon)), settle,
+        horizon + max_extra_time)
     if not result.settled:
         LOG.warning("failover %s: still reconverging when the time budget "
                     "(%.0fs past the last event) ran out", spec.name,
@@ -278,7 +266,7 @@ def run_failover(scenario: Union[str, ScenarioSpec],
     final_stats = network.stats()
 
     # -- per-event measurements ----------------------------------------------
-    change_times.sort()
+    change_times = sorted(changes.times)
     for index, (event, at, stats_before) in enumerate(executed):
         has_next = index + 1 < len(executed)
         window_end = executed[index + 1][1] if has_next else sim.now
@@ -288,14 +276,14 @@ def run_failover(scenario: Union[str, ScenarioSpec],
         # that exact instant are the next event's synchronous fallout.
         last = bisect_left(change_times, window_end) if has_next \
             else bisect_right(change_times, window_end)
-        changes = change_times[first:last]
+        window = change_times[first:last]
         result.events.append(FailoverEventResult(
             index=index,
             action=event.action,
             description=event.describe(),
             at_seconds=at,
-            reconverge_seconds=(changes[-1] - at) if changes else 0.0,
-            route_changes=len(changes),
+            reconverge_seconds=(window[-1] - at) if window else 0.0,
+            route_changes=len(window),
             frames_lost=(stats_end["frames_dropped"]
                          - stats_before["frames_dropped"]),
         ))
@@ -304,23 +292,34 @@ def run_failover(scenario: Union[str, ScenarioSpec],
     result.wall_seconds = time.perf_counter() - started
     for violation in result.invariant_violations:
         LOG.warning("failover %s: %s", spec.name, violation)
+    LOG.info("failover: %s -> %d events, worst reconvergence %s", spec.name,
+             len(result.events),
+             format_seconds(result.worst_reconverge_seconds))
     return result
 
 
-def run_failover_suite(scenarios, schedule: Optional[FailureSchedule] = None,
-                       settle: float = DEFAULT_SETTLE,
-                       max_extra_time: float = DEFAULT_MAX_EXTRA,
-                       **churn_options) -> List[FailoverResult]:
-    """Run a failover experiment for every scenario, serially."""
-    results = []
-    for scenario in scenarios:
-        result = run_failover(scenario, schedule=schedule, settle=settle,
-                              max_extra_time=max_extra_time, **churn_options)
-        LOG.info("failover: %s -> %d events, worst reconvergence %s",
-                 result.scenario, len(result.events),
-                 format_seconds(result.worst_reconverge_seconds))
-        results.append(result)
-    return results
+FAILOVER_CSV_HEADER = ("scenario", "family", "seed", "switches", "links",
+                       "configured_seconds", "event_index", "action", "event",
+                       "at_seconds", "reconverge_seconds", "route_changes",
+                       "frames_lost", "frames_delivered", "frames_dropped")
+
+
+def failover_csv_rows(results: Iterable[FailoverResult]) -> Iterator[list]:
+    """One CSV row per injected failure event (one blank-event row for a
+    run without events); the per-run delivery/drop totals ride on every
+    row so the file stays flat."""
+    for result in results:
+        run = [result.scenario, result.family, result.seed,
+               result.num_switches, result.num_links,
+               result.configured_seconds]
+        totals = [result.link_stats.get("frames_delivered", 0),
+                  result.link_stats.get("frames_dropped", 0)]
+        if not result.events:
+            yield run + [""] * 7 + totals
+        for event in result.events:
+            yield run + [event.index, event.action, event.description,
+                         event.at_seconds, event.reconverge_seconds,
+                         event.route_changes, event.frames_lost] + totals
 
 
 def render_failover_table(results: List[FailoverResult]) -> str:

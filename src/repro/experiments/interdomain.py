@@ -29,26 +29,22 @@ redistribution at the borders — and measures:
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.autoconfig import AutoConfigFramework
-from repro.core.ipam import IPAddressManager
 from repro.experiments.failover import (
     _mirror_into_routeflow,
     verify_spf_rib_consistency,
 )
-from repro.experiments.results import format_seconds, format_table
+from repro.experiments.harness import (FibChanges, configure, format_seconds,
+                                       format_table, json_key,
+                                       omitted_when_none, run_until_quiet)
 from repro.quagga.ospf.constants import EXTERNAL_ROUTE_TAG
 from repro.quagga.rib import RouteSource
 from repro.scenarios import FailureSchedule, ScenarioSpec, get
-from repro.sim import Simulator
-from repro.topology.emulator import EmulatedNetwork
 from repro.topology.generators import as_map_from_topology
 
 LOG = logging.getLogger(__name__)
@@ -66,8 +62,6 @@ FLAP_LEAD = 10.0
 
 #: Seconds the flapped border link stays down.
 FLAP_DOWN = 90.0
-
-PathLike = Union[str, Path]
 
 
 class PhaseProfiler:
@@ -185,9 +179,9 @@ class InterdomainResult:
     scenario: str
     family: str
     seed: int
-    num_ases: int
-    num_switches: int
-    num_links: int
+    num_ases: int = json_key("ases")
+    num_switches: int = json_key("switches")
+    num_links: int = json_key("links")
     border_links: int
     controllers: int
     #: Simulated seconds to full interdomain reachability (None = never).
@@ -203,11 +197,11 @@ class InterdomainResult:
     #: asn -> {"switches", "flows", "bgp_fib_routes", "external_fib_routes"}.
     per_as: Dict[int, Dict[str, int]] = field(default_factory=dict)
     redistribution_violations: List[str] = field(default_factory=list)
-    flap: Optional[BorderFlapResult] = None
+    flap: Optional[BorderFlapResult] = omitted_when_none()
     wall_seconds: float = 0.0
     #: Per-phase wall-time breakdown (``--profile``):
     #: phase -> {"seconds", "calls"}.  None unless profiling was requested.
-    profile: Optional[Dict[str, Dict[str, float]]] = None
+    profile: Optional[Dict[str, Dict[str, float]]] = omitted_when_none()
 
     @property
     def configured(self) -> bool:
@@ -291,10 +285,6 @@ def _session_states(vm, peer_vm) -> List[str]:
     return states
 
 
-def _total(framework: AutoConfigFramework, key: str) -> int:
-    return sum(load[key] for load in framework.shard_loads())
-
-
 def _rfproxies(framework: AutoConfigFramework):
     if framework.shards:
         return [shard.rfproxy for shard in framework.shards]
@@ -341,12 +331,9 @@ def _run_interdomain(scenario: Union[str, ScenarioSpec],
         raise ValueError(
             f"scenario {spec.name!r} is not an interdomain scenario "
             f"(set ScenarioSpec.interdomain=True)")
-    sim = Simulator()
-    ipam = IPAddressManager()
-    framework = AutoConfigFramework(sim, config=config, ipam=ipam)
-    network = EmulatedNetwork(sim, topology, ipam=ipam)
-    framework.attach(network)
-    configured_at = framework.run_until_configured(max_time=spec.max_time)
+    testbed = configure(topology, config, max_time=spec.max_time)
+    sim, network, framework = testbed.sim, testbed.network, testbed.framework
+    configured_at = testbed.configured_at
     result = InterdomainResult(
         scenario=spec.name, family=spec.family, seed=spec.seed,
         num_ases=len(set(as_map.values())),
@@ -360,24 +347,19 @@ def _run_interdomain(scenario: Union[str, ScenarioSpec],
         return result
 
     # -- settle to the interdomain steady state ------------------------------
-    change_times: List[float] = []
     control_plane = framework.control_plane
-    for vm in control_plane.vms.values():
-        vm.zebra.add_fib_listener(
-            lambda prefix, new, old, _sim=sim: change_times.append(_sim.now))
+    changes = FibChanges(sim, control_plane)
 
     def run_to_quiescence(deadline: float) -> bool:
+        # Quiet is measured from the last FIB change, or from now when
+        # nothing has changed since the recorder was last cleared.
         anchor = sim.now
-        while sim.now < deadline:
-            sim.run(until=min(sim.now + 1.0, deadline))
-            last = change_times[-1] if change_times else anchor
-            if sim.now >= last + settle:
-                return True
-        return False
+        return run_until_quiet(sim, lambda: changes.latest(anchor), settle,
+                               deadline)
 
     result.settled = run_to_quiescence(configured_at + max_extra_time)
-    result.converged_seconds = change_times[-1] if change_times else configured_at
-    result.steady_flows = _total(framework, "flows_current")
+    result.converged_seconds = changes.latest(configured_at)
+    result.steady_flows = testbed.total_load("flows_current")
     directed = {"ebgp": 0, "ibgp": 0}
     for vm in control_plane.vms.values():
         if vm.bgp is not None:
@@ -414,7 +396,7 @@ def _run_interdomain(scenario: Union[str, ScenarioSpec],
                 f"{spec.name} (borders: {borders})")
         vm_a = control_plane.vms[link[0]]
         vm_b = control_plane.vms[link[1]]
-        removed_before = _total(framework, "flow_mods_removed")
+        removed_before = testbed.total_load("flow_mods_removed")
         network.add_failure_listener(_mirror_into_routeflow(network,
                                                             framework.bus))
         network.schedule_failures(FailureSchedule.single_link_failure(
@@ -422,18 +404,18 @@ def _run_interdomain(scenario: Union[str, ScenarioSpec],
         down_at = sim.now + FLAP_LEAD
         up_at = down_at + FLAP_DOWN
         # Down window: run to quiescence before the link is restored.
-        del change_times[:]
+        changes.clear()
         sim.run(until=down_at)
         run_to_quiescence(min(up_at, down_at + max_extra_time))
-        down_changes = [t for t in change_times if t >= down_at]
+        down_changes = changes.since(down_at)
         sessions_dropped = all(state != "Established"
                                for state in _session_states(vm_a, vm_b))
-        withdrawn = _total(framework, "flow_mods_removed") - removed_before
+        withdrawn = testbed.total_load("flow_mods_removed") - removed_before
         # Restore window.
-        del change_times[:]
+        changes.clear()
         sim.run(until=up_at)
         restored = run_to_quiescence(up_at + max_extra_time)
-        restore_changes = [t for t in change_times if t >= up_at]
+        restore_changes = changes.since(up_at)
         result.settled = result.settled and restored
         reestablished = bool(_session_states(vm_a, vm_b)) and all(
             state == "Established" for state in _session_states(vm_a, vm_b))
@@ -446,7 +428,7 @@ def _run_interdomain(scenario: Union[str, ScenarioSpec],
             reestablished=reestablished,
             restore_reconverge_seconds=(restore_changes[-1] - up_at)
             if restore_changes else 0.0,
-            flows_restored=_total(framework, "flows_current")
+            flows_restored=testbed.total_load("flows_current")
             == result.steady_flows,
         )
         result.redistribution_violations.extend(
@@ -516,75 +498,24 @@ def render_interdomain_table(results: List[InterdomainResult]) -> str:
     return report
 
 
-def _result_payload(result: InterdomainResult) -> Dict[str, object]:
-    payload = {
-        "scenario": result.scenario,
-        "family": result.family,
-        "seed": result.seed,
-        "ases": result.num_ases,
-        "switches": result.num_switches,
-        "links": result.num_links,
-        "border_links": result.border_links,
-        "controllers": result.controllers,
-        "configured_seconds": result.configured_seconds,
-        "converged_seconds": result.converged_seconds,
-        "settled": result.settled,
-        "ebgp_sessions": result.ebgp_sessions,
-        "ibgp_sessions": result.ibgp_sessions,
-        "steady_flows": result.steady_flows,
-        "per_as": {str(asn): dict(report)
-                   for asn, report in result.per_as.items()},
-        "redistribution_violations": list(result.redistribution_violations),
-        "wall_seconds": result.wall_seconds,
-    }
-    if result.profile is not None:
-        payload["profile"] = {phase: dict(entry)
-                              for phase, entry in result.profile.items()}
-    if result.flap is not None:
-        payload["flap"] = {
-            "node_a": result.flap.node_a,
-            "node_b": result.flap.node_b,
-            "withdrawn_flow_mods": result.flap.withdrawn_flow_mods,
-            "sessions_dropped": result.flap.sessions_dropped,
-            "down_reconverge_seconds": result.flap.down_reconverge_seconds,
-            "reestablished": result.flap.reestablished,
-            "restore_reconverge_seconds": result.flap.restore_reconverge_seconds,
-            "flows_restored": result.flap.flows_restored,
-        }
-    return payload
+INTERDOMAIN_CSV_HEADER = ("scenario", "family", "seed", "ases", "switches",
+                          "links", "border_links", "controllers",
+                          "configured_seconds", "converged_seconds",
+                          "ebgp_sessions", "ibgp_sessions", "steady_flows",
+                          "asn", "as_switches", "as_flows",
+                          "as_bgp_fib_routes", "as_external_fib_routes")
 
 
-def write_interdomain_json(results: List[InterdomainResult],
-                           path: PathLike) -> Path:
-    """Write an interdomain suite as JSON (full per-AS and flap detail)."""
-    target = Path(path)
-    target.write_text(json.dumps([_result_payload(r) for r in results],
-                                 indent=2, sort_keys=True) + "\n")
-    return target
-
-
-def write_interdomain_csv(results: List[InterdomainResult],
-                          path: PathLike) -> Path:
-    """Write an interdomain suite as CSV, one row per AS."""
-    target = Path(path)
-    with target.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["scenario", "family", "seed", "ases", "switches",
-                         "links", "border_links", "controllers",
-                         "configured_seconds", "converged_seconds",
-                         "ebgp_sessions", "ibgp_sessions", "steady_flows",
-                         "asn", "as_switches", "as_flows",
-                         "as_bgp_fib_routes", "as_external_fib_routes"])
-        for result in results:
-            for asn, report in sorted(result.per_as.items()):
-                writer.writerow([
-                    result.scenario, result.family, result.seed,
-                    result.num_ases, result.num_switches, result.num_links,
-                    result.border_links, result.controllers,
-                    result.configured_seconds, result.converged_seconds,
-                    result.ebgp_sessions, result.ibgp_sessions,
-                    result.steady_flows, asn, report["switches"],
-                    report["flows"], report["bgp_fib_routes"],
-                    report["external_fib_routes"],
-                ])
-    return target
+def interdomain_csv_rows(results: Iterable[InterdomainResult]
+                         ) -> Iterator[list]:
+    """One CSV row per AS of every interdomain run."""
+    for result in results:
+        for asn, report in sorted(result.per_as.items()):
+            yield [result.scenario, result.family, result.seed,
+                   result.num_ases, result.num_switches, result.num_links,
+                   result.border_links, result.controllers,
+                   result.configured_seconds, result.converged_seconds,
+                   result.ebgp_sessions, result.ibgp_sessions,
+                   result.steady_flows, asn, report["switches"],
+                   report["flows"], report["bgp_fib_routes"],
+                   report["external_fib_routes"]]

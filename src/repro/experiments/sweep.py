@@ -11,14 +11,16 @@ come back in scenario order and are bit-identical to a serial run.
 
 from __future__ import annotations
 
+import csv
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from pathlib import Path
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.experiments.config_time import run_single_configuration
-from repro.experiments.results import format_seconds, format_table
+from repro.experiments.harness import format_seconds, format_table, json_key
 from repro.scenarios import ScenarioSpec, resolve
 
 LOG = logging.getLogger(__name__)
@@ -30,11 +32,13 @@ ScenarioLike = Union[str, ScenarioSpec]
 class SweepResult:
     """The outcome of configuring one scenario."""
 
+    EXPORTED_PROPERTIES = ("speedup",)
+
     scenario: str
     family: str
     seed: int
-    num_switches: int
-    num_links: int
+    num_switches: int = json_key("switches")
+    num_links: int = json_key("links")
     auto_seconds: Optional[float]
     manual_seconds: float
     #: Controller shards the scenario ran under (1 = single RF-controller).
@@ -143,6 +147,46 @@ def run_sweep(scenarios: Union[ScenarioLike, Sequence[ScenarioLike]],
 def expand_seeds(spec: ScenarioSpec, seeds: Iterable[int]) -> List[ScenarioSpec]:
     """One spec per seed, for seed-replication sweeps of stochastic families."""
     return [spec.with_seed(seed) for seed in seeds]
+
+
+SWEEP_CSV_HEADER = ("scenario", "family", "seed", "controllers", "switches",
+                    "links", "auto_seconds", "manual_seconds", "speedup",
+                    "frames_delivered", "frames_dropped")
+
+
+def sweep_csv_rows(results: Iterable[SweepResult]) -> Iterator[list]:
+    """One CSV row per scenario (no milestones or wall clock)."""
+    for result in results:
+        yield [result.scenario, result.family, result.seed,
+               result.controllers, result.num_switches, result.num_links,
+               result.auto_seconds, result.manual_seconds, result.speedup,
+               result.frames_delivered, result.frames_dropped]
+
+
+def read_sweep_csv(path: Union[str, Path]) -> List[SweepResult]:
+    """Load a sweep CSV (:data:`SWEEP_CSV_HEADER`) back into results.
+
+    The CSV format carries no milestones or wall-clock column, so those
+    fields come back empty/zero.  Frame counters default to zero for files
+    written before the columns existed.
+    """
+    results = []
+    with Path(path).open(newline="") as handle:
+        for row in csv.DictReader(handle):
+            auto = row["auto_seconds"]
+            results.append(SweepResult(
+                scenario=row["scenario"],
+                family=row["family"],
+                seed=int(row["seed"]),
+                controllers=int(row.get("controllers") or 1),
+                num_switches=int(row["switches"]),
+                num_links=int(row["links"]),
+                auto_seconds=float(auto) if auto not in ("", "None") else None,
+                manual_seconds=float(row["manual_seconds"]),
+                frames_delivered=int(row.get("frames_delivered") or 0),
+                frames_dropped=int(row.get("frames_dropped") or 0),
+            ))
+    return results
 
 
 def render_sweep_table(results: Sequence[SweepResult]) -> str:

@@ -21,26 +21,23 @@ Two actuation engines (see :mod:`repro.te`):
 
 from __future__ import annotations
 
-import json
 import logging
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.experiments.harness import format_bits, format_table, json_key
+from repro.experiments.traffic import (DEFAULT_SETTLE, DEFAULT_WINDOW,
+                                       FluidRun, fluid_deadline)
+from repro.net.addresses import IPv4Network
 from repro.scenarios import ScenarioSpec, get
 from repro.te import (AUTO_ZEBRA_MAX_SWITCHES, FlowTableActuator,
                       TEController, TESpec, ZebraActuator, adjacency_of,
                       make_policy)
+from repro.topology.graph import Topology
 from repro.traffic import DemandSpec, FluidEngine, generate_demands
 
 LOG = logging.getLogger(__name__)
-
-#: Extra simulated seconds past the last demand/failure event.
-DEFAULT_SETTLE = 5.0
-
-#: Simulated traffic-phase length when nothing else bounds the run.
-DEFAULT_WINDOW = 30.0
 
 #: The default policy sweep: the untouched shortest-path plane first
 #: (the baseline every other row's ``delivered_gain`` is relative to).
@@ -50,6 +47,8 @@ DEFAULT_POLICIES = ("none", "static-ecmp", "greedy", "bandit")
 @dataclass
 class TEPolicyResult:
     """The outcome of one scenario run under one TE policy."""
+
+    EXPORTED_PROPERTIES = ("loss_fraction",)
 
     policy: str
     configured_seconds: Optional[float]
@@ -98,12 +97,13 @@ class TEResult:
     scenario: str
     family: str
     seed: int
-    num_switches: int
-    num_links: int
+    num_switches: int = json_key("switches")
+    num_links: int = json_key("links")
     engine: str
     model: str
     hot_link: Optional[str] = None
-    results: List[TEPolicyResult] = field(default_factory=list)
+    results: List[TEPolicyResult] = json_key("policies",
+                                             default_factory=list)
 
     @property
     def baseline(self) -> Optional[TEPolicyResult]:
@@ -186,83 +186,44 @@ def _resolve_engine(te_spec: TESpec, num_switches: int) -> str:
     return "zebra" if num_switches <= AUTO_ZEBRA_MAX_SWITCHES else "synthetic"
 
 
-def _horizon(spec: ScenarioSpec, demand_set, window: float) -> float:
-    horizon = spec.failures.duration if spec.failures is not None else 0.0
-    finite_ends = [d.end for d in demand_set if d.duration != float("inf")]
-    if finite_ends:
-        horizon = max([horizon] + finite_ends)
-    elif horizon <= 0.0:
-        horizon = window
-    else:
-        horizon += window
-    return horizon
-
-
 def _run_policy_zebra(spec: ScenarioSpec, te_spec: TESpec, policy_name: str,
-                      demand_spec: DemandSpec, settle: float,
-                      window: float) -> TEPolicyResult:
-    from dataclasses import replace as dc_replace
-
-    from repro.core.autoconfig import AutoConfigFramework
-    from repro.core.ipam import IPAddressManager
-    from repro.experiments.failover import _mirror_into_routeflow
-    from repro.net.addresses import IPv4Network
-    from repro.sim import Simulator
-    from repro.topology.emulator import EmulatedNetwork
-
+                      demand_spec: DemandSpec, settle: float, window: float,
+                      topology: Topology) -> TEPolicyResult:
     started = time.perf_counter()
-    topology = spec.build_topology()
-    config = spec.framework_config(topology)
-    if not config.advertise_loopbacks:
-        config = dc_replace(config, advertise_loopbacks=True)
-    sim = Simulator()
-    ipam = IPAddressManager()
-    framework = AutoConfigFramework(sim, config=config, ipam=ipam)
-    network = EmulatedNetwork(sim, topology, ipam=ipam)
-    framework.attach(network)
-    configured_at = framework.run_until_configured(max_time=spec.max_time)
+    fluid = FluidRun(spec, topology)
     result = TEPolicyResult(policy=policy_name,
-                            configured_seconds=configured_at)
-    if configured_at is None:
+                            configured_seconds=fluid.testbed.configured_at)
+    if fluid.engine is None:
         result.wall_seconds = time.perf_counter() - started
         return result
 
-    addresses = {dpid: ipam.router_id(dpid) for dpid in network.switches}
-    owners = {int(address): dpid for dpid, address in addresses.items()}
-    engine = FluidEngine(sim, network, owner_of=owners.get)
-    engine.attach()
-    _scale_hot_link(network, te_spec)
-
+    testbed = fluid.testbed
+    _scale_hot_link(testbed.network, te_spec)
     route_mods = [0]
-    topic = getattr(framework.rfserver, "route_mods_topic", None)
+    topic = getattr(testbed.framework.rfserver, "route_mods_topic", None)
     if topic is not None:
-        framework.bus.subscribe(
+        testbed.framework.bus.subscribe(
             topic,
             lambda _envelope: route_mods.__setitem__(0, route_mods[0] + 1))
 
     controller = None
     if policy_name != "none":
-        run_spec = dc_replace(te_spec, policy=policy_name)
+        run_spec = replace(te_spec, policy=policy_name)
         actuator = ZebraActuator(
-            framework.control_plane, network,
-            prefix_of=lambda dst: IPv4Network((addresses[dst], 32)))
-        controller = TEController(sim, network, actuator, spec=run_spec,
-                                  policy=make_policy(run_spec), engine=engine,
-                                  owner_of=owners.get)
+            testbed.framework.control_plane, testbed.network,
+            prefix_of=lambda dst: IPv4Network((fluid.addresses[dst], 32)))
+        controller = TEController(testbed.sim, testbed.network, actuator,
+                                  spec=run_spec,
+                                  policy=make_policy(run_spec),
+                                  engine=fluid.engine,
+                                  owner_of=fluid.owners.get)
         controller.start()
 
-    demand_set = generate_demands(demand_spec, addresses)
-    start = sim.now
-    result.demands = engine.register(demand_set)
-    if spec.failures is not None:
-        network.add_failure_listener(_mirror_into_routeflow(network,
-                                                            framework.bus))
-        network.schedule_failures(spec.failures)
-    sim.run(until=start + _horizon(spec, demand_set, window) + settle)
-    engine.finalize()
+    result.demands = fluid.run(demand_spec, settle, window)
     if controller is not None:
         controller.stop()
-    _collect(result, engine, network, owners.get, controller, sim.now - start)
+    _collect(result, fluid.engine, testbed.network, fluid.owners.get,
+             controller, fluid.duration)
     result.route_mods = route_mods[0]
     result.wall_seconds = time.perf_counter() - started
     return result
@@ -270,15 +231,16 @@ def _run_policy_zebra(spec: ScenarioSpec, te_spec: TESpec, policy_name: str,
 
 def _run_policy_synthetic(spec: ScenarioSpec, te_spec: TESpec,
                           policy_name: str, demand_spec: DemandSpec,
-                          settle: float, window: float) -> TEPolicyResult:
-    from dataclasses import replace as dc_replace
-
+                          settle: float, window: float,
+                          topology: Optional[Topology] = None
+                          ) -> TEPolicyResult:
     from repro.sim import Simulator
     from repro.topology.emulator import EmulatedNetwork
     from repro.traffic import SyntheticRoutes, service_address
 
     started = time.perf_counter()
-    topology = spec.build_topology()
+    if topology is None:
+        topology = spec.build_topology()
     sim = Simulator()
     network = EmulatedNetwork(sim, topology)
     routes = SyntheticRoutes(network)
@@ -292,7 +254,7 @@ def _run_policy_synthetic(spec: ScenarioSpec, te_spec: TESpec,
     result = TEPolicyResult(policy=policy_name, configured_seconds=0.0)
     controller = None
     if policy_name != "none":
-        run_spec = dc_replace(te_spec, policy=policy_name)
+        run_spec = replace(te_spec, policy=policy_name)
         controller = TEController(sim, network, FlowTableActuator(routes),
                                   spec=run_spec,
                                   policy=make_policy(run_spec), engine=engine,
@@ -307,7 +269,8 @@ def _run_policy_synthetic(spec: ScenarioSpec, te_spec: TESpec,
         # RouteMod churn would have produced, like the churn benchmark.
         network.add_failure_listener(lambda _event: routes.reroute())
         network.schedule_failures(spec.failures)
-    sim.run(until=start + _horizon(spec, demand_set, window) + settle)
+    sim.run(until=fluid_deadline(start, spec.failures, demand_set, window,
+                                 settle))
     engine.finalize()
     if controller is not None:
         controller.stop()
@@ -370,7 +333,7 @@ def run_te(scenario: Union[str, ScenarioSpec],
                      model=demand_spec.model, hot_link=effective_te.hot_link)
     for policy_name in policy_list:
         result = runner(spec, effective_te, policy_name, demand_spec,
-                        settle, window)
+                        settle, window, topology)
         LOG.info("te: %s/%s -> %s delivered, %d reroutes",
                  spec.name, policy_name, f"{result.delivered_bits:.3g}b",
                  result.reroutes)
@@ -383,17 +346,8 @@ def run_te(scenario: Union[str, ScenarioSpec],
     return suite
 
 
-def _format_bits(bits: float) -> str:
-    for unit, scale in (("Gbit", 1e9), ("Mbit", 1e6), ("kbit", 1e3)):
-        if bits >= scale:
-            return f"{bits / scale:.2f} {unit}"
-    return f"{bits:.0f} bit"
-
-
 def render_te_table(suite: TEResult) -> str:
     """ASCII comparison of the policy runs."""
-    from repro.experiments.results import format_table
-
     rows = []
     for result in suite.results:
         if result.configured_seconds is None:
@@ -402,7 +356,7 @@ def render_te_table(suite: TEResult) -> str:
         rows.append([
             result.policy,
             f"{result.delivered_commodities}/{result.commodities}",
-            _format_bits(result.delivered_bits),
+            format_bits(result.delivered_bits),
             f"{100.0 * result.loss_fraction:.2f}%",
             f"{result.stretch_p99:.2f}",
             result.reroutes,
@@ -417,46 +371,3 @@ def render_te_table(suite: TEResult) -> str:
               f"{suite.engine} engine"
               + (f", hot link {suite.hot_link}" if suite.hot_link else ""))
     return header + "\n\n" + table
-
-
-def write_te_json(suite: TEResult, path: Union[str, Path]) -> Path:
-    """Write a TE comparison as JSON (one record per policy run)."""
-    payload = {
-        "scenario": suite.scenario,
-        "family": suite.family,
-        "seed": suite.seed,
-        "switches": suite.num_switches,
-        "links": suite.num_links,
-        "engine": suite.engine,
-        "model": suite.model,
-        "hot_link": suite.hot_link,
-        "policies": [
-            {
-                "policy": result.policy,
-                "configured_seconds": result.configured_seconds,
-                "demands": result.demands,
-                "commodities": result.commodities,
-                "delivered_commodities": result.delivered_commodities,
-                "unrouted_commodities": result.unrouted_commodities,
-                "duration_seconds": result.duration_seconds,
-                "offered_bits": result.offered_bits,
-                "delivered_bits": result.delivered_bits,
-                "loss_fraction": result.loss_fraction,
-                "stretch_mean": result.stretch_mean,
-                "stretch_p99": result.stretch_p99,
-                "reroutes": result.reroutes,
-                "steers": result.steers,
-                "steer_changes": result.steer_changes,
-                "decisions": result.decisions,
-                "samples": result.samples,
-                "pruned_steers": result.pruned_steers,
-                "route_mods": result.route_mods,
-                "delivered_gain": result.delivered_gain,
-                "wall_seconds": result.wall_seconds,
-            }
-            for result in suite.results
-        ],
-    }
-    target = Path(path)
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return target

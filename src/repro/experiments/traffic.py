@@ -24,20 +24,16 @@ OFPFC_DELETE churn of the reconvergence, not by harness fiat.
 
 from __future__ import annotations
 
-import json
 import logging
 import time
-from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from dataclasses import dataclass, field
+from typing import List, Optional, Union
 
-from repro.core.autoconfig import AutoConfigFramework
-from repro.core.ipam import IPAddressManager
 from repro.experiments.failover import _mirror_into_routeflow
-from repro.experiments.results import format_seconds, format_table
-from repro.scenarios import ScenarioSpec, get
-from repro.sim import Simulator
-from repro.topology.emulator import EmulatedNetwork
+from repro.experiments.harness import (configure, format_bits, format_seconds,
+                                       format_table, json_key)
+from repro.scenarios import FailureSchedule, ScenarioSpec, get
+from repro.topology.graph import Topology
 from repro.traffic import DemandSpec, FluidEngine, generate_demands
 
 LOG = logging.getLogger(__name__)
@@ -69,11 +65,13 @@ class LinkUtilization:
 class TrafficResult:
     """The outcome of one fluid-traffic run."""
 
+    EXPORTED_PROPERTIES = ("loss_fraction",)
+
     scenario: str
     family: str
     seed: int
-    num_switches: int
-    num_links: int
+    num_switches: int = json_key("switches")
+    num_links: int = json_key("links")
     #: Simulated seconds to the initial automatic configuration (None when
     #: the scenario never configured — no demands run then).
     configured_seconds: Optional[float]
@@ -113,6 +111,76 @@ class TrafficResult:
             and self.delivered_commodities == self.commodities
 
 
+def fluid_deadline(start: float, failures: Optional[FailureSchedule],
+                   demand_set, window: float, settle: float) -> float:
+    """When a fluid run that began at ``start`` ends.
+
+    The traffic phase lasts until the last finite demand expires (and no
+    less than the failure schedule), or — with only open-ended demands —
+    ``window`` seconds past the schedule; ``settle`` seconds follow it.
+    """
+    if window <= 0:
+        raise ValueError(f"the traffic window must be > 0 seconds, got {window}")
+    if settle < 0:
+        raise ValueError(f"the settle period must be >= 0 seconds, got {settle}")
+    horizon = failures.duration if failures is not None else 0.0
+    finite_ends = [d.end for d in demand_set if d.duration != float("inf")]
+    if finite_ends:
+        horizon = max([horizon] + finite_ends)
+    elif horizon <= 0.0:
+        horizon = window
+    else:
+        horizon += window
+    return start + horizon + settle
+
+
+class FluidRun:
+    """A scenario configured for fluid traffic (``repro traffic``/``te``).
+
+    Each router's loopback is advertised (a routable per-router demand
+    destination), and a :class:`~repro.traffic.FluidEngine` is attached
+    once the scenario has configured; :attr:`engine` stays None when it
+    never did.  :meth:`run` then drives one demand set through it.
+    """
+
+    def __init__(self, spec: ScenarioSpec, topology: Topology) -> None:
+        self.spec = spec
+        self.testbed = configure(topology, spec.framework_config(topology),
+                                 max_time=spec.max_time,
+                                 advertise_loopbacks=True)
+        self.engine: Optional[FluidEngine] = None
+        self.duration = 0.0
+        if self.testbed.configured_at is None:
+            return
+        self.addresses = {dpid: self.testbed.ipam.router_id(dpid)
+                          for dpid in self.testbed.network.switches}
+        self.owners = {int(address): dpid
+                       for dpid, address in self.addresses.items()}
+        self.engine = FluidEngine(self.testbed.sim, self.testbed.network,
+                                  owner_of=self.owners.get)
+        self.engine.attach()
+
+    def run(self, demand_spec: DemandSpec, settle: float,
+            window: float) -> int:
+        """Register the demands, arm the scenario's failure schedule
+        (mirrored into RouteFlow like ``repro failover``) and run to the
+        end of the traffic phase; returns the demands registered."""
+        sim, network = self.testbed.sim, self.testbed.network
+        demand_set = generate_demands(demand_spec, self.addresses)
+        start = sim.now
+        registered = self.engine.register(demand_set)
+        failures = self.spec.failures
+        if failures is not None:
+            network.add_failure_listener(_mirror_into_routeflow(
+                network, self.testbed.framework.bus))
+            network.schedule_failures(failures)
+        sim.run(until=fluid_deadline(start, failures, demand_set, window,
+                                     settle))
+        self.engine.finalize()
+        self.duration = sim.now - start
+        return registered
+
+
 def run_traffic(scenario: Union[str, ScenarioSpec],
                 demands: Optional[DemandSpec] = None,
                 settle: float = DEFAULT_SETTLE,
@@ -131,54 +199,20 @@ def run_traffic(scenario: Union[str, ScenarioSpec],
     if demand_spec is None:
         demand_spec = DemandSpec()
     topology = spec.build_topology()
-    config = spec.framework_config(topology)
-    if not config.advertise_loopbacks:
-        config = replace(config, advertise_loopbacks=True)
-    sim = Simulator()
-    ipam = IPAddressManager()
-    framework = AutoConfigFramework(sim, config=config, ipam=ipam)
-    network = EmulatedNetwork(sim, topology, ipam=ipam)
-    framework.attach(network)
-    configured_at = framework.run_until_configured(max_time=spec.max_time)
+    fluid = FluidRun(spec, topology)
     result = TrafficResult(
         scenario=spec.name, family=spec.family, seed=spec.seed,
         num_switches=topology.num_nodes, num_links=topology.num_links,
-        configured_seconds=configured_at, model=demand_spec.model)
-    if configured_at is None:
+        configured_seconds=fluid.testbed.configured_at,
+        model=demand_spec.model)
+    if fluid.engine is None:
         result.wall_seconds = time.perf_counter() - started
         return result
 
-    # -- demand setup --------------------------------------------------------
-    addresses = {dpid: ipam.router_id(dpid) for dpid in network.switches}
-    owners = {int(address): dpid for dpid, address in addresses.items()}
-    engine = FluidEngine(sim, network, owner_of=owners.get)
-    engine.attach()
-    demand_set = generate_demands(demand_spec, addresses)
-    start = sim.now
-    result.demands = engine.register(demand_set)
-
-    # -- churn (optional) ----------------------------------------------------
-    horizon = 0.0
-    if spec.failures is not None:
-        network.add_failure_listener(_mirror_into_routeflow(network,
-                                                            framework.bus))
-        network.schedule_failures(spec.failures)
-        horizon = spec.failures.duration
-    finite_ends = [d.end for d in demand_set if d.duration != float("inf")]
-    if finite_ends:
-        horizon = max([horizon] + finite_ends)
-    elif horizon <= 0.0:
-        horizon = window
-    else:
-        horizon += window
-
-    # -- run and measure -----------------------------------------------------
-    deadline = start + horizon + settle
-    sim.run(until=deadline)
-    engine.finalize()
-    elapsed = max(sim.now - start, 1e-12)
-    result.duration_seconds = sim.now - start
-    stats = engine.stats()
+    result.demands = fluid.run(demand_spec, settle, window)
+    elapsed = max(fluid.duration, 1e-12)
+    result.duration_seconds = fluid.duration
+    stats = fluid.engine.stats()
     result.commodities = int(stats["commodities"])
     result.delivered_commodities = int(stats["delivered_commodities"])
     result.offered_bits = stats["offered_bits"]
@@ -187,7 +221,8 @@ def run_traffic(scenario: Union[str, ScenarioSpec],
     result.lookups = int(stats["lookups"])
     result.reresolutions = int(stats["reresolutions"])
     result.affected_demands = int(stats["affected_demands"])
-    ranked = sorted(network.links, key=lambda link: -link.stats()["busy_seconds"])
+    ranked = sorted(fluid.testbed.network.links,
+                    key=lambda link: -link.stats()["busy_seconds"])
     for link in ranked[:TOP_LINKS]:
         stats_ = link.stats()
         if stats_["busy_seconds"] <= 0.0:
@@ -198,30 +233,9 @@ def run_traffic(scenario: Union[str, ScenarioSpec],
             utilization=min(1.0, busier / elapsed),
             peak_bps=stats_["peak_bps"]))
     result.wall_seconds = time.perf_counter() - started
+    LOG.info("traffic: %s -> %d demands, %.1f%% loss", spec.name,
+             result.demands, 100.0 * result.loss_fraction)
     return result
-
-
-def run_traffic_suite(scenarios, demands: Optional[DemandSpec] = None,
-                      settle: float = DEFAULT_SETTLE,
-                      window: float = DEFAULT_WINDOW) -> List[TrafficResult]:
-    """Run a traffic experiment for every scenario, serially."""
-    results = []
-    for scenario in scenarios:
-        result = run_traffic(scenario, demands=demands, settle=settle,
-                             window=window)
-        LOG.info("traffic: %s -> %d demands, %.1f%% loss",
-                 result.scenario, result.demands,
-                 100.0 * result.loss_fraction)
-        results.append(result)
-    return results
-
-
-def _format_bits(bits: float) -> str:
-    """Human-friendly rendering of a bit volume."""
-    for unit, scale in (("Gbit", 1e9), ("Mbit", 1e6), ("kbit", 1e3)):
-        if bits >= scale:
-            return f"{bits / scale:.2f} {unit}"
-    return f"{bits:.0f} bit"
 
 
 def render_traffic_table(results: List[TrafficResult]) -> str:
@@ -235,8 +249,8 @@ def render_traffic_table(results: List[TrafficResult]) -> str:
             result.scenario,
             result.demands,
             f"{result.delivered_commodities}/{result.commodities}",
-            _format_bits(result.offered_bits),
-            _format_bits(result.delivered_bits),
+            format_bits(result.offered_bits),
+            format_bits(result.delivered_bits),
             f"{100.0 * result.loss_fraction:.2f}%",
             result.reresolutions,
             result.affected_demands,
@@ -260,44 +274,3 @@ def render_traffic_table(results: List[TrafficResult]) -> str:
                 f"  hot link {link.name}: {100.0 * link.utilization:.1f}% "
                 f"utilized, peak {link.peak_bps / 1e6:.1f} Mbit/s")
     return table + "\n\n" + "\n".join(notes)
-
-
-def write_traffic_json(results: List[TrafficResult],
-                       path: Union[str, Path]) -> Path:
-    """Write a traffic suite as JSON (per-link utilization included)."""
-    payload = [
-        {
-            "scenario": result.scenario,
-            "family": result.family,
-            "seed": result.seed,
-            "switches": result.num_switches,
-            "links": result.num_links,
-            "configured_seconds": result.configured_seconds,
-            "model": result.model,
-            "demands": result.demands,
-            "commodities": result.commodities,
-            "delivered_commodities": result.delivered_commodities,
-            "duration_seconds": result.duration_seconds,
-            "offered_bits": result.offered_bits,
-            "delivered_bits": result.delivered_bits,
-            "loss_fraction": result.loss_fraction,
-            "resolutions": result.resolutions,
-            "lookups": result.lookups,
-            "reresolutions": result.reresolutions,
-            "affected_demands": result.affected_demands,
-            "top_links": [
-                {
-                    "name": link.name,
-                    "busy_seconds": link.busy_seconds,
-                    "utilization": link.utilization,
-                    "peak_bps": link.peak_bps,
-                }
-                for link in result.top_links
-            ],
-            "wall_seconds": result.wall_seconds,
-        }
-        for result in results
-    ]
-    target = Path(path)
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return target

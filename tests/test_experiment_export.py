@@ -1,92 +1,75 @@
-"""Tests for the experiment result exporters."""
+"""Tests for the experiment exporters: one dataclass-driven JSON record
+schema (:func:`repro.experiments.write_json`) and one CSV writer.
+
+Every live export is pinned byte-for-byte by test_experiment_goldens.py;
+these tests cover the schema rules on small records.
+"""
 
 from __future__ import annotations
 
-import csv
 import json
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
-import pytest
-
-from repro.experiments.export import (
-    write_ablation_csv,
-    write_config_time_csv,
-    write_config_time_json,
-    write_demo_json,
-    write_markdown_report,
+from repro.experiments import (
+    SweepResult,
+    read_json,
+    to_record,
+    write_csv,
+    write_json,
 )
-from repro.experiments.results import AblationResult, ConfigTimeResult, DemoResult
+from repro.experiments.harness import json_key, omitted_when_none
 
 
-@pytest.fixture
-def sample_results():
-    return [
-        ConfigTimeResult(num_switches=4, num_links=4, auto_seconds=33.0,
-                         manual_seconds=3600.0, milestones={"ospf_converged": 33.0}),
-        ConfigTimeResult(num_switches=8, num_links=8, auto_seconds=53.0,
-                         manual_seconds=7200.0, milestones={"ospf_converged": 53.0}),
-    ]
+@dataclass
+class Inner:
+    EXPORTED_PROPERTIES = ("double",)
+
+    value: int
+
+    @property
+    def double(self) -> int:
+        return 2 * self.value
 
 
-@pytest.fixture
-def sample_demo():
-    return DemoResult(topology_name="pan-european-28", num_switches=28, num_links=42,
-                      video_start_seconds=132.6, configuration_seconds=153.0,
-                      manual_seconds=25200.0, frames_received=1261, frames_sent=4576,
-                      green_timeline=[(5.5, 1), (140.5, 28)],
-                      milestones={"ospf_converged": 153.0})
+@dataclass
+class Outer:
+    name: str
+    num_items: int = json_key("items")
+    inner: List[Inner] = field(default_factory=list)
+    by_id: Dict[int, str] = field(default_factory=dict)
+    extra: Optional[Inner] = omitted_when_none()
 
 
-class TestCSVExport:
-    def test_config_time_csv(self, tmp_path, sample_results):
-        path = write_config_time_csv(sample_results, tmp_path / "fig3.csv")
-        with path.open() as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["switches", "links", "auto_seconds", "manual_seconds", "speedup"]
-        assert rows[1][0] == "4" and rows[2][0] == "8"
-        assert float(rows[1][2]) == 33.0
+class TestRecords:
+    def test_fields_renames_properties_and_nesting(self):
+        record = to_record(Outer("x", 3, inner=[Inner(1), Inner(5)]))
+        assert record == {"name": "x", "items": 3,
+                          "inner": [{"value": 1, "double": 2},
+                                    {"value": 5, "double": 10}],
+                          "by_id": {}}
 
-    def test_ablation_csv_uses_label_as_header(self, tmp_path):
-        results = [AblationResult(label="vm_boot_delay_s", parameter=1.0, auto_seconds=30.0),
-                   AblationResult(label="vm_boot_delay_s", parameter=5.0, auto_seconds=93.0)]
-        path = write_ablation_csv(results, tmp_path / "a2.csv")
-        with path.open() as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["vm_boot_delay_s", "auto_seconds"]
-        assert len(rows) == 3
+    def test_omitted_when_none_only_while_none(self):
+        assert "extra" not in to_record(Outer("x", 0))
+        assert to_record(Outer("x", 0, extra=Inner(2)))["extra"] == \
+            {"value": 2, "double": 4}
 
-    def test_empty_ablation_csv(self, tmp_path):
-        path = write_ablation_csv([], tmp_path / "empty.csv")
-        with path.open() as handle:
-            rows = list(csv.reader(handle))
-        assert rows == [["parameter", "auto_seconds"]]
+    def test_int_keys_sort_as_text(self, tmp_path):
+        path = write_json(Outer("x", 0, by_id={2: "a", 100: "c", 10: "b"}),
+                          tmp_path / "o.json")
+        assert list(json.loads(path.read_text())["by_id"]) == \
+            ["10", "100", "2"]
 
+    def test_read_json_inverts_renames_and_defaults(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps([{
+            "scenario": "s", "family": "ring", "seed": 1, "switches": 4,
+            "links": 4, "auto_seconds": 10.0, "manual_seconds": 20.0,
+            "speedup": 2.0}]))
+        (loaded,) = read_json(path, SweepResult)
+        assert (loaded.num_switches, loaded.num_links) == (4, 4)
+        assert loaded.controllers == 1 and loaded.milestones == {}
 
-class TestJSONExport:
-    def test_config_time_json_includes_milestones(self, tmp_path, sample_results):
-        path = write_config_time_json(sample_results, tmp_path / "fig3.json")
-        payload = json.loads(path.read_text())
-        assert len(payload) == 2
-        assert payload[0]["milestones"]["ospf_converged"] == 33.0
-        assert payload[1]["speedup"] == pytest.approx(7200.0 / 53.0)
-
-    def test_demo_json(self, tmp_path, sample_demo):
-        path = write_demo_json(sample_demo, tmp_path / "demo.json")
-        payload = json.loads(path.read_text())
-        assert payload["switches"] == 28
-        assert payload["video_start_seconds"] == 132.6
-        assert payload["green_timeline"][0] == [5.5, 1]
-
-
-class TestMarkdownExport:
-    def test_full_report(self, tmp_path, sample_results, sample_demo):
-        path = write_markdown_report(sample_results, sample_demo, tmp_path / "report.md")
-        text = path.read_text()
-        assert "# Measured results" in text
-        assert "| 4 | 33.0" in text
-        assert "video reached the client" in text
-        assert "7.0 h" in text
-
-    def test_report_without_demo(self, tmp_path, sample_results):
-        text = write_markdown_report(sample_results, None, tmp_path / "r.md").read_text()
-        assert "Demonstration" not in text
-        assert "Figure 3" in text
+    def test_write_csv_header_only(self, tmp_path):
+        path = write_csv(tmp_path / "e.csv", ["a", "b"], iter(()))
+        assert path.read_bytes() == b"a,b\r\n"

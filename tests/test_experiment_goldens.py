@@ -33,6 +33,10 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import (
+    CTLSCALE_CSV_HEADER,
+    FAILOVER_CSV_HEADER,
+    INTERDOMAIN_CSV_HEADER,
+    SWEEP_CSV_HEADER,
     BorderFlapResult,
     CtlScaleChurnResult,
     CtlScaleResult,
@@ -44,17 +48,12 @@ from repro.experiments import (
     TEPolicyResult,
     TEResult,
     TrafficResult,
-    write_ctlscale_churn_json,
-    write_ctlscale_csv,
-    write_ctlscale_json,
-    write_failover_csv,
-    write_failover_json,
-    write_interdomain_csv,
-    write_interdomain_json,
-    write_sweep_csv,
-    write_sweep_json,
-    write_te_json,
-    write_traffic_json,
+    ctlscale_csv_rows,
+    failover_csv_rows,
+    interdomain_csv_rows,
+    sweep_csv_rows,
+    write_csv,
+    write_json,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "experiments"
@@ -251,24 +250,25 @@ def interdomain_results():
 
 #: golden file name -> callable writing the export to the given path.
 WRITERS = {
-    "sweep.json": lambda path: write_sweep_json(sweep_results(), path),
-    "sweep.csv": lambda path: write_sweep_csv(sweep_results(), path),
-    "failover.json": lambda path: write_failover_json(failover_results(), path),
-    "failover.csv": lambda path: write_failover_csv(failover_results(), path),
-    "traffic.json": lambda path: write_traffic_json(traffic_results(), path),
-    "te.json": lambda path: write_te_json(te_result(), path),
-    "te_empty.json": lambda path: write_te_json(te_empty_result(), path),
-    "ctlscale.json": lambda path: write_ctlscale_json(ctlscale_results(), path),
-    "ctlscale.csv": lambda path: write_ctlscale_csv(ctlscale_results(), path),
-    "ctlscale_churn.json":
-        lambda path: write_ctlscale_churn_json(churn_result(), path),
+    "sweep.json": lambda path: write_json(sweep_results(), path),
+    "sweep.csv": lambda path: write_csv(path, SWEEP_CSV_HEADER,
+                                        sweep_csv_rows(sweep_results())),
+    "failover.json": lambda path: write_json(failover_results(), path),
+    "failover.csv": lambda path: write_csv(
+        path, FAILOVER_CSV_HEADER, failover_csv_rows(failover_results())),
+    "traffic.json": lambda path: write_json(traffic_results(), path),
+    "te.json": lambda path: write_json(te_result(), path),
+    "te_empty.json": lambda path: write_json(te_empty_result(), path),
+    "ctlscale.json": lambda path: write_json(ctlscale_results(), path),
+    "ctlscale.csv": lambda path: write_csv(
+        path, CTLSCALE_CSV_HEADER, ctlscale_csv_rows(ctlscale_results())),
+    "ctlscale_churn.json": lambda path: write_json(churn_result(), path),
     "ctlscale_churn_unconfigured.json":
-        lambda path: write_ctlscale_churn_json(churn_unconfigured_result(),
-                                               path),
-    "interdomain.json":
-        lambda path: write_interdomain_json(interdomain_results(), path),
-    "interdomain.csv":
-        lambda path: write_interdomain_csv(interdomain_results(), path),
+        lambda path: write_json(churn_unconfigured_result(), path),
+    "interdomain.json": lambda path: write_json(interdomain_results(), path),
+    "interdomain.csv": lambda path: write_csv(
+        path, INTERDOMAIN_CSV_HEADER,
+        interdomain_csv_rows(interdomain_results())),
 }
 
 

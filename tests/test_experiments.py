@@ -16,7 +16,7 @@ from repro.experiments import (
     run_single_configuration,
     run_vm_latency_ablation,
 )
-from repro.experiments.results import ConfigTimeResult
+from repro.experiments.config_time import ConfigTimeResult
 from repro.topology.generators import linear_topology, ring_topology
 
 
@@ -100,7 +100,7 @@ class TestDemoExperiment:
         assert "Manual configuration" in report
 
     def test_demo_report_without_video(self):
-        from repro.experiments.results import DemoResult
+        from repro.experiments.demo import DemoResult
 
         result = DemoResult(topology_name="t", num_switches=2, num_links=1,
                             video_start_seconds=None, configuration_seconds=None,

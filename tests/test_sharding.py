@@ -8,11 +8,12 @@ import pytest
 from repro.controller import Controller
 from repro.core import AutoConfigFramework, FrameworkConfig, IPAddressManager
 from repro.experiments.ctlscale import (
+    CTLSCALE_CSV_HEADER,
     check_load_conservation,
+    ctlscale_csv_rows,
     run_ctlscale,
-    write_ctlscale_csv,
-    write_ctlscale_json,
 )
+from repro.experiments.harness import write_csv, write_json
 from repro.experiments.failover import verify_spf_rib_consistency
 from repro.net import IPv4Address, IPv4Network
 from repro.quagga import InterfaceConfig, generate_zebra_conf
@@ -386,8 +387,9 @@ class TestControllersKnob:
     def test_ctlscale_exports_round_trip(self, tmp_path):
         spec = ScenarioSpec("tmp-ctlscale-ring4", "ring", {"num_switches": 4})
         results = run_ctlscale(spec, controller_counts=(1, 2))
-        json_path = write_ctlscale_json(results, tmp_path / "ctl.json")
-        csv_path = write_ctlscale_csv(results, tmp_path / "ctl.csv")
+        json_path = write_json(results, tmp_path / "ctl.json")
+        csv_path = write_csv(tmp_path / "ctl.csv", CTLSCALE_CSV_HEADER,
+                             ctlscale_csv_rows(results))
         import csv as csv_module
         import json as json_module
 

@@ -5,14 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import (
+    SWEEP_CSV_HEADER,
     expand_seeds,
+    read_json,
     read_sweep_csv,
-    read_sweep_json,
     render_sweep_table,
     run_scenario,
     run_sweep,
-    write_sweep_csv,
-    write_sweep_json,
+    sweep_csv_rows,
+    write_csv,
+    write_json,
 )
 from repro.experiments.sweep import SweepResult
 from repro.scenarios import ScenarioSpec
@@ -90,13 +92,14 @@ class TestRunSweep:
 class TestSweepExport:
     def test_json_round_trip(self, tmp_path):
         results = run_sweep(FAST_SPECS[:2])
-        path = write_sweep_json(results, tmp_path / "sweep.json")
-        loaded = read_sweep_json(path)
+        path = write_json(results, tmp_path / "sweep.json")
+        loaded = read_json(path, SweepResult)
         assert comparable(loaded) == comparable(results)
 
     def test_csv_round_trip(self, tmp_path):
         results = run_sweep(FAST_SPECS[:2])
-        path = write_sweep_csv(results, tmp_path / "sweep.csv")
+        path = write_csv(tmp_path / "sweep.csv", SWEEP_CSV_HEADER,
+                         sweep_csv_rows(results))
         loaded = read_sweep_csv(path)
         # CSV carries no milestones; compare the scalar columns.
         assert [(r.scenario, r.family, r.seed, r.num_switches, r.num_links,
@@ -108,7 +111,8 @@ class TestSweepExport:
         result = SweepResult(scenario="t", family="ring", seed=0,
                              num_switches=3, num_links=3, auto_seconds=None,
                              manual_seconds=2700.0)
-        path = write_sweep_csv([result], tmp_path / "none.csv")
+        path = write_csv(tmp_path / "none.csv", SWEEP_CSV_HEADER,
+                         sweep_csv_rows([result]))
         loaded = read_sweep_csv(path)
         assert loaded[0].auto_seconds is None
         assert loaded[0].speedup is None
